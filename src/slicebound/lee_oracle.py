@@ -19,14 +19,17 @@ s(unknot) = 0):
   Delta(v_minus) = v_minus v_minus + v_plus v_plus, all unit coefficients
   times the cube edge sign (-1)^(set bits below the flipped one).
 
-Coefficients are exact: matrices live over the integers and columns are kept
-primitive (gcd-stripped) through elimination, which is equivalent to working
-over the rationals.
+Coefficients are exact: matrices live over the integers, and every
+elimination step leaves an integer column that is a nonzero rational multiple
+of its reduction over the rationals, which is equivalent to working over the
+rationals.  Stored pivots are primitive (gcd-stripped); a working column is
+stripped after each non-unit rescale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import Optional
@@ -100,6 +103,22 @@ class LeeComplexSlice:
 
     def gen_index(self, degree: int, mask: int, label_mask: int) -> int:
         return self.offsets[degree][mask] + label_mask
+
+    @cached_property
+    def din_echelon(self) -> tuple[list[int], list[int], dict[int, dict[int, int]]]:
+        """(pos, order, pivots) of ``d_in`` under the grading row order of C^0.
+
+        ``pos[i]`` is the row position of generator i, ``order`` its inverse,
+        and ``pivots`` the column echelon keyed by low position.  Computed
+        once per slice, on first use.
+        """
+        q0 = self.gradings[0]
+        order = sorted(range(len(q0)), key=lambda i: (q0[i], i))
+        pos = [0] * len(q0)
+        for p, i in enumerate(order):
+            pos[i] = p
+        pivots = _column_echelon(_to_positions(col, pos) for col in self.d_in)
+        return pos, order, pivots
 
 
 def _grade(labels: int, k: int, mask: int, n_plus: int, n_minus: int) -> int:
@@ -345,46 +364,59 @@ def canonical_cycles(
 # --- exact sparse column elimination -------------------------------------
 #
 # Columns are dicts keyed by row position under a fixed row order sorted by
-# ascending quantum grading; entries are integers and columns stay primitive.
-# The pivot of a column is its minimum position, so one echelon pass answers
-# every "is v in F^j + span" query: reachable lowest positions are exactly
-# the pivot lows.
+# ascending quantum grading; entries are integers.  The pivot of a column is
+# its minimum position, so one echelon pass answers every "is v in F^j +
+# span" query: reachable lowest positions are exactly the pivot lows.
+#
+# Stored pivots are primitive.  A working column is reduced in place: when
+# the pivot entry divides the column entry it subtracts that multiple of the
+# pivot, otherwise it rescales by a non-unit, subtracts, and is stripped.
+# Either way the result is a nonzero rational multiple of the exact-rational
+# reduction, so lows and ranks are those of elimination over Q.
 
 
 def _strip(col: dict[int, int]) -> dict[int, int]:
+    """A fresh, compact copy of ``col`` divided by the gcd of its entries."""
     g = 0
     for v in col.values():
         g = gcd(g, v)
-    if g > 1:
-        return {p: v // g for p, v in col.items()}
-    return col
-
-
-def _eliminate(col: dict[int, int], piv: dict[int, int], low: int) -> dict[int, int]:
-    a, b = col[low], piv[low]
-    g = gcd(a, b)
-    ca, cb = b // g, a // g
-    out = {p: v * ca for p, v in col.items()}
-    for p, v in piv.items():
-        w = out.get(p, 0) - v * cb
-        if w:
-            out[p] = w
-        else:
-            out.pop(p, None)
-    return _strip(out)
+        if g == 1:
+            return dict(col)
+    return {p: v // g for p, v in col.items()}
 
 
 def _reduce_against(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Reduce ``col`` until its low has no pivot; returns the reduced column.
+
+    ``col`` belongs to the caller and is updated in place, except that a
+    non-unit rescale replaces it by a fresh stripped dict: always use the
+    returned column.
+    """
     while col:
         low = min(col)
         piv = pivots.get(low)
         if piv is None:
             break
-        col = _eliminate(col, piv, low)
+        a, b = col[low], piv[low]
+        f, r = divmod(a, b)
+        if r:
+            g = gcd(a, b)
+            scale, f = b // g, a // g
+            for p in col:
+                col[p] *= scale
+        for p, v in piv.items():
+            w = col.get(p, 0) - f * v
+            if w:
+                col[p] = w
+            else:
+                del col[p]
+        if r:
+            col = _strip(col)
     return col
 
 
 def _column_echelon(columns) -> dict[int, dict[int, int]]:
+    """{low: primitive column} for the span of ``columns`` (left unchanged)."""
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
         red = _reduce_against(dict(col), pivots)
@@ -393,34 +425,28 @@ def _column_echelon(columns) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _row_positions(gradings: tuple[int, ...]) -> list[int]:
-    """pos[i] = rank of generator i under ascending (grading, index) order."""
-    order = sorted(range(len(gradings)), key=lambda i: (gradings[i], i))
-    pos = [0] * len(gradings)
-    for p, i in enumerate(order):
-        pos[i] = p
-    return pos
-
-
 def _to_positions(col: dict[int, int], pos: list[int]) -> dict[int, int]:
     return {pos[i]: v for i, v in col.items()}
 
 
-def s_invariant(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> int:
+def s_invariant(
+    d: Diagram,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+    slice_: Optional[LeeComplexSlice] = None,
+) -> int:
     """Rasmussen invariant of the knot presented by ``d``: s_min + 1.
 
     s_min is the largest j with s_o in F^j C^0 + im(d_-1), found by reducing
     the canonical cycle against the grading-ordered column echelon of the
     incoming differential and reading the grading of the surviving lowest
-    term.  The result is always even.
+    term.  The result is always even.  ``slice_``, when given, must be
+    ``build_slice(d)``; it is used instead of building the slice again, and
+    its ``d_in`` echelon is shared with ``filtration_profile``.
     """
-    s = build_slice(d, max_crossings)
+    s = slice_ if slice_ is not None else build_slice(d, max_crossings)
     s_o, _ = canonical_cycles(d, s)
     q0 = s.gradings[0]
-    pos = _row_positions(q0)
-    order = sorted(range(len(q0)), key=lambda i: (q0[i], i))
-
-    pivots = _column_echelon(_to_positions(col, pos) for col in s.d_in)
+    pos, order, pivots = s.din_echelon
     reduced = _reduce_against(_to_positions(s_o.coefficients, pos), pivots)
     if not reduced:
         raise ConsistencyError("canonical class vanishes in homology")
@@ -432,7 +458,9 @@ def s_invariant(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> int:
 
 
 def filtration_profile(
-    d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS
+    d: Diagram,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+    slice_: Optional[LeeComplexSlice] = None,
 ) -> dict[int, int]:
     """dim F^j H^0 for each quantum grading j present in C^0, descending.
 
@@ -440,13 +468,13 @@ def filtration_profile(
     #generators of grading >= j minus the rank of the columns of d_0 of
     grading >= j, the second counts echelon pivots of d_-1 whose low sits in
     grading >= j.  For a knot the profile steps 0 -> 1 -> 2 as j decreases.
+    ``slice_``, when given, must be ``build_slice(d)``; it is used instead of
+    building the slice again, and its ``d_in`` echelon is shared with
+    ``s_invariant``.
     """
-    s = build_slice(d, max_crossings)
+    s = slice_ if slice_ is not None else build_slice(d, max_crossings)
     q0 = s.gradings[0]
-    pos = _row_positions(q0)
-    order = sorted(range(len(q0)), key=lambda i: (q0[i], i))
-
-    in_pivots = _column_echelon(_to_positions(col, pos) for col in s.d_in)
+    _, order, in_pivots = s.din_echelon
     low_grades = sorted(q0[order[low]] for low in in_pivots)
 
     levels = sorted(set(q0), reverse=True)

@@ -1,7 +1,14 @@
 """Exact oracle: complex construction, canonical cycles, s, filtration."""
 
-import pytest
+from fractions import Fraction
+from math import gcd
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import slicebound.cli
+import slicebound.lee_oracle
 from slicebound import (
     BraidWord,
     CrossingLimitError,
@@ -17,6 +24,7 @@ from slicebound import (
     s_invariant,
     s_window,
 )
+from slicebound.lee_oracle import _column_echelon, _reduce_against
 
 TREFOIL = braid_closure(BraidWord(2, (1, 1, 1)))
 UNKNOT0 = braid_closure(BraidWord(1, ()))
@@ -173,3 +181,94 @@ class TestFiltrationProfile:
             dims = list(filtration_profile(d).values())
             assert dims == sorted(dims)
             assert dims[-1] == 2
+
+
+class TestOnePass:
+    def test_oracle_command_builds_and_echelons_once(self, monkeypatch, capsys):
+        counts = {"build_slice": 0, "_column_echelon": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            fn = getattr(slicebound.lee_oracle, name)
+            for module in (slicebound.lee_oracle, slicebound.cli):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        pd = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
+        assert slicebound.cli.main(["oracle", "--pd", pd]) == 0
+        assert '"s": 0' in capsys.readouterr().out
+        assert counts == {"build_slice": 1, "_column_echelon": 1}
+
+    def test_shared_slice_gives_the_same_results(self):
+        for d in (MIXED, FIG8, mirror(TREFOIL)):
+            s = build_slice(d)
+            assert s_invariant(d, slice_=s) == s_invariant(d)
+            assert filtration_profile(d, slice_=s) == filtration_profile(d)
+
+
+# --- elimination kernel against plain rational elimination ----------------
+
+
+def _rational_reduce(vec, pivots):
+    """Reduce ``vec`` over Q against ``{low: column}``; returns the residual."""
+    v = {p: Fraction(x) for p, x in vec.items() if x}
+    while v:
+        low = min(v)
+        piv = pivots.get(low)
+        if piv is None:
+            break
+        f = v[low] / piv[low]
+        for p, x in piv.items():
+            w = v.get(p, 0) - f * x
+            if w:
+                v[p] = w
+            else:
+                v.pop(p, None)
+    return v
+
+
+def _rational_echelon(columns):
+    pivots = {}
+    for col in columns:
+        red = _rational_reduce(col, pivots)
+        if red:
+            pivots[min(red)] = red
+    return pivots
+
+
+def _low(col):
+    return min(col) if col else None
+
+
+_ROWS = 7
+_vectors = st.lists(
+    st.integers(-4, 4), min_size=_ROWS, max_size=_ROWS
+).map(lambda entries: {p: x for p, x in enumerate(entries) if x})
+
+
+class TestEliminationKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=st.lists(_vectors, max_size=10), extras=st.lists(_vectors, max_size=4))
+    @example(columns=[{0: 2, 1: 1}, {0: 3, 2: 1}], extras=[{0: 5, 1: 1, 2: 1}])
+    def test_matches_rational_elimination(self, columns, extras):
+        before = [dict(col) for col in columns]
+        pivots = _column_echelon(columns)
+        reference = _rational_echelon(columns)
+        assert columns == before  # input columns are left unchanged
+        assert set(pivots) == set(reference)
+        for low, piv in pivots.items():
+            assert _low(piv) == low
+            g = 0
+            for v in piv.values():
+                g = gcd(g, v)
+            assert g == 1  # stored pivots are primitive
+            assert not _rational_reduce(piv, reference)  # and lie in the span
+        for vec in extras:
+            got = _reduce_against(dict(vec), pivots)
+            assert _low(got) == _low(_rational_reduce(vec, reference))
+            assert all(isinstance(v, int) for v in got.values())
