@@ -24,6 +24,12 @@ elimination step leaves an integer column that is a nonzero rational multiple
 of its reduction over the rationals, which is equivalent to working over the
 rationals.  Stored pivots are primitive (gcd-stripped); a working column is
 stripped after each non-unit rescale.
+
+Rows of C^0 and C^1 are ordered by ascending quantum grading, ties by
+descending generator index (``_row_order``).  Only the gradings of echelon
+lows and the prefix ranks at grading boundaries are read, and both are
+invariants of the spans, so the tie rule cannot change ``s`` or the profile;
+it governs fill-in, and with it the cost of every elimination.
 """
 
 from __future__ import annotations
@@ -112,11 +118,7 @@ class LeeComplexSlice:
         and ``pivots`` the column echelon keyed by low position.  Computed
         once per slice, on first use.
         """
-        q0 = self.gradings[0]
-        order = sorted(range(len(q0)), key=lambda i: (q0[i], i))
-        pos = [0] * len(q0)
-        for p, i in enumerate(order):
-            pos[i] = p
+        pos, order = _row_order(self.gradings[0])
         pivots = _column_echelon(_to_positions(col, pos) for col in self.d_in)
         return pos, order, pivots
 
@@ -341,12 +343,11 @@ def canonical_cycles(
     two is taken as "the" orientation cycle is immaterial for the invariant.
     """
     s = slice_ if slice_ is not None else build_slice(d, max_crossings)
-    graph = seifert_graph(d)
-    coloring = two_coloring(graph)
     data = s.circles[s.oriented_mask]
     resolution = oriented_resolution(d)
     if resolution.circle_of_edge != data.circle_of_edge:
         raise ConsistencyError("oriented-resolution circles disagree with the cube vertex")
+    coloring = two_coloring(seifert_graph(d, resolution))
 
     s_o = _expand_cycle(s, tuple(coloring))
     s_obar = _expand_cycle(s, tuple(1 - c for c in coloring))
@@ -367,6 +368,12 @@ def canonical_cycles(
 # ascending quantum grading; entries are integers.  The pivot of a column is
 # its minimum position, so one echelon pass answers every "is v in F^j +
 # span" query: reachable lowest positions are exactly the pivot lows.
+#
+# Within one grading, rows go by descending generator index.  The grading of
+# each low and the rank of each grading-bounded prefix do not depend on that
+# tie order, but fill-in does: on the 10-crossing word
+# 3: [-1,-2,2,-2,-1,1,-1,-1,1,2] ascending ties give the d_in echelon 31.8
+# nonzeros per pivot, descending ties 6.7, for the same rank 2468.
 #
 # Stored pivots are primitive.  A working column is reduced in place: when
 # the pivot entry divides the column entry it subtracts that multiple of the
@@ -425,6 +432,18 @@ def _column_echelon(columns) -> dict[int, dict[int, int]]:
     return pivots
 
 
+def _row_order(q: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(pos, order) of generators by ascending grading, ties by descending index.
+
+    ``order`` lists generators by row position and ``pos`` is its inverse.
+    """
+    order = sorted(range(len(q)), key=lambda i: (q[i], -i))
+    pos = [0] * len(q)
+    for p, i in enumerate(order):
+        pos[i] = p
+    return pos, order
+
+
 def _to_positions(col: dict[int, int], pos: list[int]) -> dict[int, int]:
     return {pos[i]: v for i, v in col.items()}
 
@@ -471,30 +490,38 @@ def filtration_profile(
     ``slice_``, when given, must be ``build_slice(d)``; it is used instead of
     building the slice again, and its ``d_in`` echelon is shared with
     ``s_invariant``.
+
+    The columns of d_0 are walked in reverse row order of C^0 (descending
+    grading, ties by ascending index) and the prefix ranks are read at each
+    grading boundary.  Clearing: a column whose generator i is the low of a
+    reduced d_-1 pivot is counted but not reduced.  That pivot is supported
+    on i and on generators walked before i, all of grading >= q_i, and
+    d_0 d_-1 = 0 (verified by ``_check_slice`` on every slice), so d_0 e_i
+    lies in the span of columns already walked and no prefix rank changes.
     """
     s = slice_ if slice_ is not None else build_slice(d, max_crossings)
     q0 = s.gradings[0]
     _, order, in_pivots = s.din_echelon
-    low_grades = sorted(q0[order[low]] for low in in_pivots)
+    low_grades = [q0[order[low]] for low in in_pivots]
+    cleared = {order[low] for low in in_pivots}
+    pos1, _ = _row_order(s.gradings[1])
 
     levels = sorted(set(q0), reverse=True)
-    cols_desc = sorted(range(len(q0)), key=lambda j: (-q0[j], j))
-    # rank of the restricted map only; row order in C^1 is immaterial here
+    walk = order[::-1]
     pivots: dict[int, dict[int, int]] = {}
     rank_ge: dict[int, int] = {}
     cols_ge: dict[int, int] = {}
     idx = 0
-    seen_cols = 0
     for level in levels:
-        while idx < len(cols_desc) and q0[cols_desc[idx]] >= level:
-            j = cols_desc[idx]
-            red = _reduce_against(dict(s.d_out[j]), pivots)
-            if red:
-                pivots[min(red)] = _strip(red)
-            seen_cols += 1
+        while idx < len(walk) and q0[walk[idx]] >= level:
+            j = walk[idx]
+            if j not in cleared:
+                red = _reduce_against(_to_positions(s.d_out[j], pos1), pivots)
+                if red:
+                    pivots[min(red)] = _strip(red)
             idx += 1
         rank_ge[level] = len(pivots)
-        cols_ge[level] = seen_cols
+        cols_ge[level] = idx
 
     profile: dict[int, int] = {}
     prev = 0

@@ -11,6 +11,7 @@ its first Betti number equals the error width of the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .diagram import ConsistencyError, Diagram
 
@@ -116,9 +117,14 @@ def _circles_at(circles: SeifertCircles, edges: tuple[int, int, int, int], sign:
     return circles.circle_of_edge[a], circles.circle_of_edge[b]
 
 
-def seifert_graph(d: Diagram) -> SeifertGraph:
-    """One signed edge per crossing between the two circles it touches."""
-    circles = oriented_resolution(d)
+def seifert_graph(d: Diagram, circles: Optional[SeifertCircles] = None) -> SeifertGraph:
+    """One signed edge per crossing between the two circles it touches.
+
+    ``circles``, when given, must be ``oriented_resolution(d)``; it is used
+    instead of resolving the diagram again.
+    """
+    if circles is None:
+        circles = oriented_resolution(d)
     edges = []
     for i, c in enumerate(d.crossings):
         u, v = _circles_at(circles, c.edges, c.sign)
