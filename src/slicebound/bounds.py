@@ -44,10 +44,10 @@ def _tightness_flags(d: Diagram, braid: Optional[BraidWord]) -> dict[str, Option
     }
 
 
-def _check_tightness(d: Diagram, delta: int, braid: Optional[BraidWord]) -> bool:
-    """True when a tightness class applies.  Connected diagrams in such a
-    class must have Delta = 0; a violation is a proved-theorem failure."""
-    flags = _tightness_flags(d, braid)
+def _check_tightness(d: Diagram, delta: int, flags: dict[str, Optional[bool]]) -> bool:
+    """True when a tightness class in ``flags`` (from ``_tightness_flags``)
+    applies.  Connected diagrams in such a class must have Delta = 0; a
+    violation is a proved-theorem failure."""
     fired = any(v for v in flags.values() if v)
     if fired and d.is_connected and delta != 0:
         which = [k for k, v in flags.items() if v]
@@ -69,7 +69,7 @@ def s_window(d: Diagram, braid: Optional[BraidWord] = None) -> tuple[int, int, O
         raise ValueError(f"s window is for knots; diagram has {d.components} components")
     u = bound_U(d)
     delta = bound_Delta(d)
-    _check_tightness(d, delta, braid)
+    _check_tightness(d, delta, _tightness_flags(d, braid))
     exact = u if delta == 0 else None
     return u - 2 * delta, u, exact
 
@@ -142,7 +142,7 @@ def bounds_report(d: Diagram, braid: Optional[BraidWord] = None) -> BoundsReport
     s_lower = s_upper = s_exact = None
     genus_new = genus_classic = None
     if connected:
-        _check_tightness(d, delta, braid)
+        _check_tightness(d, delta, flags)
         s_lower, s_upper = u - 2 * delta, u
         genus_new = genus_bound_link(d)
         if knot:

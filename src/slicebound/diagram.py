@@ -8,6 +8,10 @@ data is carried by the tuples themselves:
     (a, b, c, d)   under-strand runs a -> c
                    over-strand runs d -> b at a positive crossing,
                                     b -> d at a negative crossing
+
+``Diagram.resolution`` is the one routine that smooths the crossings and
+numbers the resulting circles; the oriented resolution (the Seifert circles)
+is cached on the diagram like its other derived quantities.
 """
 
 from __future__ import annotations
@@ -26,6 +30,42 @@ class ValidationError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check that is a proved theorem failed; indicates a bug."""
+
+
+class UnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
+
+    def component_count(self) -> int:
+        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
+
+
+@dataclass(frozen=True)
+class SeifertCircles:
+    """Partition of the edges into the circles of one resolution.
+
+    Circle ids are assigned by increasing minimum edge id, so output is
+    deterministic across runs and implementations; ``reps`` lists each
+    circle's minimum edge id.
+    """
+
+    circle_of_edge: dict[int, int]
+    count: int
+    reps: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -119,21 +159,60 @@ class Diagram:
         """True when the underlying 4-valent picture is a single piece."""
         ids = self.edge_ids
         index = {e: i for i, e in enumerate(ids)}
-        parent = list(range(len(ids)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(len(ids))
         for c in self.crossings:
-            r = find(index[c.edges[0]])
             for e in c.edges[1:]:
-                r2 = find(index[e])
-                parent[r2] = r
-                r = find(r)
-        return len({find(i) for i in range(len(ids))}) == 1
+                uf.union(index[c.edges[0]], index[e])
+        return uf.component_count() == 1
+
+    @cached_property
+    def oriented_mask(self) -> int:
+        """Cube vertex of the oriented resolution: bits set at the negative crossings."""
+        return sum(1 << i for i, c in enumerate(self.crossings) if c.sign < 0)
+
+    def resolution(self, mask: int) -> SeifertCircles:
+        """Circles of cube vertex ``mask``, ids by increasing minimum edge id.
+
+        Bit i set smooths crossing i into the pairing {a,d},{b,c}, bit i clear
+        into {a,b},{c,d}.  Free loops are circles of their own.
+        """
+        ids = self.edge_ids
+        index = {e: i for i, e in enumerate(ids)}
+        uf = UnionFind(len(ids))
+        for i, c in enumerate(self.crossings):
+            a, b, cc, dd = c.edges
+            if mask >> i & 1:
+                uf.union(index[a], index[dd])
+                uf.union(index[b], index[cc])
+            else:
+                uf.union(index[a], index[b])
+                uf.union(index[cc], index[dd])
+        circle_of_root: dict[int, int] = {}
+        circle_of_edge: dict[int, int] = {}
+        reps: list[int] = []
+        for i, e in enumerate(ids):  # ascending, so a circle's first edge is its minimum
+            root = uf.find(i)
+            if root not in circle_of_root:
+                circle_of_root[root] = len(reps)
+                reps.append(e)
+            circle_of_edge[e] = circle_of_root[root]
+        return SeifertCircles(circle_of_edge, len(reps), tuple(reps))
+
+    @cached_property
+    def seifert_circles(self) -> SeifertCircles:
+        """Seifert circles: the resolution at ``oriented_mask``.
+
+        There the incoming under-edge joins the outgoing over-edge and vice
+        versa, so every crossing must touch two distinct circles.
+        """
+        circles = self.resolution(self.oriented_mask)
+        of = circles.circle_of_edge
+        for i, c in enumerate(self.crossings):
+            if of[c.under_in] == of[c.under_out]:
+                raise ConsistencyError(
+                    f"crossing {i} smooths onto a single circle; orientation data invalid"
+                )
+        return circles
 
     @property
     def is_knot(self) -> bool:

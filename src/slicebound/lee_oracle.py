@@ -8,10 +8,13 @@ degree-0 cycles inside C^0 / im(d_-1).
 Conventions (calibrated so the 0-crossing unknot has gradings {-1, +1} and
 s(unknot) = 0):
 
-* cube vertex v is a bitmask over crossings; bit i = 1 takes the smoothing
-  pairing {a,d},{b,c} at crossing i, bit 0 takes {a,b},{c,d};
+* cube vertex v is a bitmask over crossings, and its circles are
+  ``Diagram.resolution(v)``: bit i = 1 takes the smoothing pairing
+  {a,d},{b,c} at crossing i, bit 0 takes {a,b},{c,d}; circle ids go by
+  minimum edge id;
 * homological degree of v is |v| - n_minus; the oriented resolution sits at
-  the mask with bits set exactly at negative crossings;
+  ``Diagram.oriented_mask``, bits set exactly at negative crossings, and is
+  the diagram's cached ``seifert_circles``;
 * a generator labels each circle of its resolution with v_plus or v_minus;
   q = (#v_plus - #v_minus) + |v| + n_plus - 2 n_minus;
 * the differential merges with v_minus * v_minus = v_plus (so a merge XORs
@@ -40,8 +43,8 @@ from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from .diagram import ConsistencyError, Diagram, validate
-from .seifert import UnionFind, oriented_resolution, seifert_graph, two_coloring
+from .diagram import ConsistencyError, Diagram, SeifertCircles, validate
+from .seifert import seifert_graph, two_coloring
 
 
 class CrossingLimitError(ValueError):
@@ -49,38 +52,6 @@ class CrossingLimitError(ValueError):
 
 
 DEFAULT_MAX_CROSSINGS = 12
-
-
-@dataclass(frozen=True)
-class _Circles:
-    """Circles of one cube resolution, ids ordered by minimum edge id."""
-
-    circle_of_edge: dict[int, int]
-    count: int
-    reps: tuple[int, ...]  # minimum edge id of each circle
-
-
-def _vertex_circles(d: Diagram, mask: int) -> _Circles:
-    ids = d.edge_ids
-    index = {e: i for i, e in enumerate(ids)}
-    uf = UnionFind(len(ids))
-    for i, c in enumerate(d.crossings):
-        a, b, cc, dd = c.edges
-        if mask >> i & 1:
-            uf.union(index[a], index[dd])
-            uf.union(index[b], index[cc])
-        else:
-            uf.union(index[a], index[b])
-            uf.union(index[cc], index[dd])
-    min_edge: dict[int, int] = {}
-    for e in ids:
-        root = uf.find(index[e])
-        if root not in min_edge or e < min_edge[root]:
-            min_edge[root] = e
-    reps = sorted(min_edge.values())
-    circle_id = {e: i for i, e in enumerate(reps)}
-    circle_of_edge = {e: circle_id[min_edge[uf.find(index[e])]] for e in ids}
-    return _Circles(circle_of_edge, len(reps), tuple(reps))
 
 
 @dataclass
@@ -96,10 +67,9 @@ class LeeComplexSlice:
     diagram: Diagram
     n_plus: int
     n_minus: int
-    oriented_mask: int
     vertices: dict[int, tuple[int, ...]]  # degree -> sorted vertex masks
     offsets: dict[int, dict[int, int]]  # degree -> {mask: first generator index}
-    circles: dict[int, _Circles]  # vertex mask -> circle data
+    circles: dict[int, SeifertCircles]  # vertex mask -> d.resolution(mask)
     gradings: dict[int, tuple[int, ...]]  # degree -> q per generator
     d_in: tuple[dict[int, int], ...]
     d_out: tuple[dict[int, int], ...]
@@ -132,7 +102,7 @@ def _build_matrix(
     sources: tuple[int, ...],
     src_offsets: dict[int, int],
     tgt_offsets: dict[int, int],
-    circles: dict[int, _Circles],
+    circles: dict[int, SeifertCircles],
 ) -> list[dict[int, int]]:
     n = len(d.crossings)
     total = sum(1 << circles[m].count for m in sources)
@@ -215,10 +185,6 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
             f"{n} crossings exceeds the configured limit {max_crossings}"
         )
     n_minus = d.n_minus
-    oriented_mask = 0
-    for i, c in enumerate(d.crossings):
-        if c.sign < 0:
-            oriented_mask |= 1 << i
 
     vertices: dict[int, tuple[int, ...]] = {}
     for degree in (-1, 0, 1):
@@ -231,7 +197,8 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
             masks = []
         vertices[degree] = tuple(masks)
 
-    circles: dict[int, _Circles] = {}
+    # the oriented resolution (a degree-0 vertex) is the diagram's cached one
+    circles = {d.oriented_mask: d.seifert_circles}
     offsets: dict[int, dict[int, int]] = {}
     gradings: dict[int, tuple[int, ...]] = {}
     for degree in (-1, 0, 1):
@@ -239,7 +206,9 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         grades: list[int] = []
         pos = 0
         for m in vertices[degree]:
-            data = circles.setdefault(m, _vertex_circles(d, m))
+            if m not in circles:
+                circles[m] = d.resolution(m)
+            data = circles[m]
             off[m] = pos
             pos += 1 << data.count
             for label in range(1 << data.count):
@@ -254,7 +223,6 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         diagram=d,
         n_plus=d.n_plus,
         n_minus=n_minus,
-        oriented_mask=oriented_mask,
         vertices=vertices,
         offsets=offsets,
         circles=circles,
@@ -305,8 +273,9 @@ class CanonicalCycle:
 
 
 def _expand_cycle(s: LeeComplexSlice, classes: tuple[int, ...]) -> CanonicalCycle:
-    data = s.circles[s.oriented_mask]
-    base = s.offsets[0][s.oriented_mask]
+    mask = s.diagram.oriented_mask
+    data = s.circles[mask]
+    base = s.offsets[0][mask]
     k = data.count
     coeffs: dict[int, int] = {}
     for label in range(1 << k):
@@ -343,15 +312,11 @@ def canonical_cycles(
     two is taken as "the" orientation cycle is immaterial for the invariant.
     """
     s = slice_ if slice_ is not None else build_slice(d, max_crossings)
-    data = s.circles[s.oriented_mask]
-    resolution = oriented_resolution(d)
-    if resolution.circle_of_edge != data.circle_of_edge:
-        raise ConsistencyError("oriented-resolution circles disagree with the cube vertex")
-    coloring = two_coloring(seifert_graph(d, resolution))
+    coloring = two_coloring(seifert_graph(d))
 
     s_o = _expand_cycle(s, tuple(coloring))
     s_obar = _expand_cycle(s, tuple(1 - c for c in coloring))
-    expected_min = -data.count + d.writhe
+    expected_min = -d.seifert_circles.count + d.writhe
     for cycle in (s_o, s_obar):
         if _boundary(s.d_out, cycle.coefficients):
             raise ConsistencyError("canonical cycle is not closed; labeling is wrong")

@@ -1,9 +1,13 @@
 """Seifert circles, the signed Seifert graph, and the auxiliary circle graph.
 
 Smoothing every crossing coherently with orientation partitions the edges
-into Seifert circles.  The Seifert graph has one node per circle and one
-signed edge per crossing; removing + (resp. -) edges gives the subgraphs
-whose component counts drive the bounds.  The auxiliary graph joins each
+into Seifert circles.  Circles are found in one place, ``Diagram.resolution``
+in ``diagram``, which also resolves every cube vertex of the Lee oracle; the
+oriented resolution is cached per diagram as ``Diagram.seifert_circles``.
+``UnionFind`` and ``SeifertCircles`` live in ``diagram`` and are re-exported
+here.  The Seifert graph has one node per circle and one signed edge per
+crossing; removing + (resp. -) edges gives the subgraphs whose component
+counts drive the bounds.  The auxiliary graph joins each
 circle's negative-subgraph component to its positive-subgraph component;
 its first Betti number equals the error width of the bound.
 """
@@ -11,47 +15,12 @@ its first Betti number equals the error width of the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .diagram import ConsistencyError, Diagram
+from .diagram import ConsistencyError, Diagram, SeifertCircles, UnionFind
 
 
 class DisconnectedDiagramError(ValueError):
     """Operation needs a connected diagram; caller should go per-component."""
-
-
-class UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-    def component_count(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
-
-
-@dataclass(frozen=True)
-class SeifertCircles:
-    """Partition of the edges into circles of the oriented resolution.
-
-    Circle ids are assigned by increasing minimum edge id, so output is
-    deterministic across runs and implementations.
-    """
-
-    circle_of_edge: dict[int, int]
-    count: int
 
 
 @dataclass(frozen=True)
@@ -70,75 +39,27 @@ class AuxGraph:
     edges: tuple[tuple[int, int], ...]
 
 
-def _canonical_ids(d: Diagram, uf: UnionFind, index: dict[int, int]) -> SeifertCircles:
-    min_edge: dict[int, int] = {}
-    for e in d.edge_ids:
-        root = uf.find(index[e])
-        min_edge.setdefault(root, e)
-    ordered = sorted(min_edge, key=lambda root: min_edge[root])
-    circle_id = {root: i for i, root in enumerate(ordered)}
-    return SeifertCircles(
-        {e: circle_id[uf.find(index[e])] for e in d.edge_ids}, len(ordered)
-    )
-
-
 def oriented_resolution(d: Diagram) -> SeifertCircles:
     """Seifert circles: smooth every crossing compatibly with orientation.
 
-    At each crossing the incoming under-edge joins the outgoing over-edge and
-    vice versa, i.e. the pairing {a,b},{c,d} at positive and {a,d},{b,c} at
-    negative crossings.  Free loops are circles of their own.
+    This is ``d.seifert_circles``, computed once per diagram.
     """
-    ids = d.edge_ids
-    index = {e: i for i, e in enumerate(ids)}
-    uf = UnionFind(len(ids))
-    for c in d.crossings:
-        a, b, cc, dd = c.edges
-        if c.sign > 0:
-            uf.union(index[a], index[b])
-            uf.union(index[cc], index[dd])
-        else:
-            uf.union(index[a], index[dd])
-            uf.union(index[b], index[cc])
-    circles = _canonical_ids(d, uf, index)
-    for i, c in enumerate(d.crossings):
-        a, b = _circles_at(circles, c.edges, c.sign)
-        if a == b:
-            raise ConsistencyError(
-                f"crossing {i} smooths onto a single circle; orientation data invalid"
-            )
-    return circles
+    return d.seifert_circles
 
 
-def _circles_at(circles: SeifertCircles, edges: tuple[int, int, int, int], sign: int) -> tuple[int, int]:
-    a, b, cc, dd = edges
-    if sign > 0:
-        return circles.circle_of_edge[a], circles.circle_of_edge[cc]
-    return circles.circle_of_edge[a], circles.circle_of_edge[b]
-
-
-def seifert_graph(d: Diagram, circles: Optional[SeifertCircles] = None) -> SeifertGraph:
-    """One signed edge per crossing between the two circles it touches.
-
-    ``circles``, when given, must be ``oriented_resolution(d)``; it is used
-    instead of resolving the diagram again.
-    """
-    if circles is None:
-        circles = oriented_resolution(d)
-    edges = []
-    for i, c in enumerate(d.crossings):
-        u, v = _circles_at(circles, c.edges, c.sign)
-        edges.append((u, v, c.sign, i))
-    return SeifertGraph(circles.count, tuple(edges))
+def seifert_graph(d: Diagram) -> SeifertGraph:
+    """One signed edge per crossing between the two circles it touches."""
+    circles = d.seifert_circles
+    of = circles.circle_of_edge
+    edges = tuple(
+        (of[c.under_in], of[c.under_out], c.sign, i) for i, c in enumerate(d.crossings)
+    )
+    return SeifertGraph(circles.count, edges)
 
 
 def component_count(g: SeifertGraph, keep_sign: int) -> int:
     """Components of the subgraph keeping only edges of one sign (all nodes kept)."""
-    uf = UnionFind(g.node_count)
-    for u, v, sign, _ in g.edges:
-        if sign == keep_sign:
-            uf.union(u, v)
-    return uf.component_count()
+    return len(set(_subgraph_component_ids(g, keep_sign)))
 
 
 def _subgraph_component_ids(g: SeifertGraph, keep_sign: int) -> list[int]:

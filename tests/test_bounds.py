@@ -7,6 +7,7 @@ import pytest
 from slicebound import (
     BraidWord,
     ConsistencyError,
+    Diagram,
     DisconnectedDiagramError,
     bound_Delta,
     bound_U,
@@ -179,3 +180,16 @@ class TestBoundsReport:
     def test_no_false_alarm_on_split_positive(self):
         # split positive closures have Delta != 0; the guard must not fire
         bounds_report(braid_closure(BraidWord(3, (1, 1))))
+
+
+class TestResolveOnce:
+    def test_bounds_report_resolves_the_diagram_once(self, resolution_masks):
+        for w in (BraidWord(3, (-1, -2, 2, -2, -1, 1, -1, -1, 1, 2)), BraidWord(2, (1, 1, 1))):
+            d = braid_closure(w)
+            bounds_report(d, w)
+            bounds_report(d, w)
+            assert resolution_masks == [d.oriented_mask]
+            resolution_masks.clear()
+        d = Diagram(FIG8.crossings)  # fresh: nothing cached yet
+        bounds_report(d)
+        assert resolution_masks == [d.oriented_mask]

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from slicebound.cli import bundled_table_path, main, run_fuzz, run_table
 
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
+GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +187,11 @@ class TestRunFuzzEngine:
     def test_deterministic(self):
         assert run_fuzz(40, 4, 9, 7).text() == run_fuzz(40, 4, 9, 7).text()
 
+    def test_each_case_resolves_the_diagram_and_its_mirror_once(self, resolution_masks):
+        summary = run_fuzz(30, 5, 12, 42)
+        assert summary.ok and summary.cases == 30
+        assert len(resolution_masks) == 2 * summary.cases
+
 
 class TestRunTableEngine:
     def test_tolerates_missing_fields(self):
@@ -192,3 +199,25 @@ class TestRunTableEngine:
         out = run_table(rows, oracle=False, max_crossings=12)
         assert out[0]["status"] == "TIGHT"
         assert out[0]["known_s"] == ""
+
+
+class TestFrozenCorpus:
+    """``cli.main`` reproduces the benchmark's recorded outputs byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def goldens(self):
+        with open(GOLDENS, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def test_fuzz_batches(self, goldens, capsys):
+        count = str(goldens["fuzz"]["count"])
+        for seed, text in goldens["fuzz"]["batches"].items():
+            assert run_cli(capsys, "fuzz", "--count", count, "--seed", seed) == (0, text, ""), seed
+
+    def test_table_with_oracle(self, goldens, capsys):
+        assert run_cli(capsys, "table", "--oracle") == (0, goldens["table"], "")
+
+    def test_smallest_mid_knot(self, goldens, capsys):
+        knot = min(goldens["mid"], key=lambda k: sum(json.loads(k["oracle_json"])["dims"].values()))
+        assert run_cli(capsys, "bound", "--braid", knot["braid"], "--oracle") == (0, knot["bound_json"], "")
+        assert run_cli(capsys, "oracle", "--braid", knot["braid"]) == (0, knot["oracle_json"], "")

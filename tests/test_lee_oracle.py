@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import slicebound.cli
 import slicebound.lee_oracle
-import slicebound.seifert
 from slicebound import (
     BraidWord,
     CrossingLimitError,
+    Diagram,
     braid_closure,
     build_slice,
     canonical_cycles,
@@ -205,19 +205,12 @@ class TestOnePass:
         assert '"s": 0' in capsys.readouterr().out
         assert counts == {"build_slice": 1, "_column_echelon": 1}
 
-    def test_canonical_cycles_resolve_the_diagram_once(self, monkeypatch):
-        calls = []
-        resolve = slicebound.lee_oracle.oriented_resolution
-
-        def counting(d):
-            calls.append(d)
-            return resolve(d)
-
-        monkeypatch.setattr(slicebound.lee_oracle, "oriented_resolution", counting)
-        monkeypatch.setattr(slicebound.seifert, "oriented_resolution", counting)
-        s = build_slice(FIG8)
-        canonical_cycles(FIG8, s)
-        assert len(calls) == 1
+    def test_canonical_cycles_resolve_the_diagram_once(self, resolution_masks):
+        d = Diagram(FIG8.crossings)  # fresh: nothing cached yet
+        s = build_slice(d)
+        canonical_cycles(d, s)
+        assert resolution_masks.count(d.oriented_mask) == 1
+        assert len(resolution_masks) == len(s.circles)
 
     def test_shared_slice_gives_the_same_results(self):
         for d in (MIXED, FIG8, mirror(TREFOIL)):

@@ -1,6 +1,10 @@
 """Seifert circles, the signed graph, subgraph components, auxiliary graph."""
 
+import csv
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicebound import (
     BraidWord,
@@ -19,11 +23,57 @@ from slicebound import (
     seifert_graph,
     two_coloring,
 )
+from slicebound.cli import bundled_table_path
 
 TREFOIL = braid_closure(BraidWord(2, (1, 1, 1)))
 UNKNOT0 = braid_closure(BraidWord(1, ()))
 MIXED = braid_closure(BraidWord(2, (1, 1, -1)))
 FIG8 = diagram_from_pd(parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"))
+
+
+def _circles(edge_ids, joins):
+    """(circle_of_edge, count) of the graph on ``edge_ids`` with edges
+    ``joins``, found by depth-first search; circle ids by minimum edge id."""
+    adj = {e: [] for e in edge_ids}
+    for x, y in joins:
+        adj[x].append(y)
+        adj[y].append(x)
+    circle_of_edge = {}
+    count = 0
+    for start in sorted(adj):  # ascending: a circle is first met at its minimum
+        if start in circle_of_edge:
+            continue
+        stack = [start]
+        while stack:
+            e = stack.pop()
+            if e not in circle_of_edge:
+                circle_of_edge[e] = count
+                stack.extend(adj[e])
+        count += 1
+    return circle_of_edge, count
+
+
+def _seifert_reference(d):
+    """Seifert's rule from orientation alone: at each crossing the incoming
+    under-strand continues along the outgoing over-strand and the incoming
+    over-strand along the outgoing under-strand."""
+    joins = []
+    for c in d.crossings:
+        joins.append((c.under_in, c.over_out))
+        joins.append((c.over_in, c.under_out))
+    return _circles(d.edge_ids, joins)
+
+
+def _table_diagrams():
+    with open(bundled_table_path(), newline="", encoding="utf-8") as fh:
+        return [(row["name"], diagram_from_pd(parse_pd(row["pd"]))) for row in csv.DictReader(fh)]
+
+
+@st.composite
+def _braid_closures(draw):
+    strands = draw(st.integers(2, 5))
+    letter = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
+    return braid_closure(BraidWord(strands, tuple(draw(st.lists(letter, max_size=12)))))
 
 
 class TestOrientedResolution:
@@ -38,6 +88,31 @@ class TestOrientedResolution:
 
     def test_figure_eight_three_circles(self):
         assert oriented_resolution(FIG8).count == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=_braid_closures())
+    def test_matches_orientation_rule_on_braid_closures(self, d):
+        circles = oriented_resolution(d)
+        assert (circles.circle_of_edge, circles.count) == _seifert_reference(d)
+
+    def test_matches_orientation_rule_on_table(self):
+        for name, d in _table_diagrams():
+            circles = oriented_resolution(d)
+            assert (circles.circle_of_edge, circles.count) == _seifert_reference(d), name
+            reps = [min(e for e, c in circles.circle_of_edge.items() if c == k)
+                    for k in range(circles.count)]
+            assert circles.reps == tuple(reps), name
+
+    def test_every_cube_vertex_count(self):
+        six = dict(_table_diagrams())["6_1"]
+        link = braid_closure(BraidWord(3, (1, -2, 1, 2, -1, -2)))
+        for d in (UNKNOT0, TREFOIL, MIXED, FIG8, six, link):
+            for mask in range(1 << len(d.crossings)):
+                joins = []
+                for i, c in enumerate(d.crossings):
+                    a, b, cc, dd = c.edges
+                    joins += [(a, dd), (b, cc)] if mask >> i & 1 else [(a, b), (cc, dd)]
+                assert d.resolution(mask).count == _circles(d.edge_ids, joins)[1]
 
     def test_circle_ids_canonical(self):
         circ = oriented_resolution(TREFOIL)
