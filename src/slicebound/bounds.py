@@ -8,7 +8,9 @@ For a diagram D with Seifert graph T:
 U bounds the Rasmussen invariant s from above and U - 2 Delta from below for
 connected knot diagrams; Delta vanishes exactly when the bound is tight, which
 is guaranteed for positive, negative, and alternating diagrams and for
-closures of braid words whose generators each keep a single sign.
+closures of braid words whose generators each keep a single sign.  T and the
+component ids of T- and T+ are built once per diagram
+(``Diagram.seifert_graph``), and every bound here reads them.
 """
 
 from __future__ import annotations
@@ -20,18 +22,18 @@ from typing import Optional
 from .diagram import ConsistencyError, Diagram, is_alternating, is_negative, is_positive
 from .diagram import braid_sign_condition, validate
 from .notation import BraidWord
-from .seifert import DisconnectedDiagramError, component_count, oriented_resolution, seifert_graph
+from .seifert import DisconnectedDiagramError, component_count
 
 
 def bound_U(d: Diagram) -> int:
     """Diagram-dependent upper bound for s; even for connected knot diagrams."""
-    g = seifert_graph(d)
+    g = d.seifert_graph
     return g.node_count - 2 * component_count(g, -1) + d.writhe + 1
 
 
 def bound_Delta(d: Diagram) -> int:
     """Error width of the bound; >= 0 for connected diagrams."""
-    g = seifert_graph(d)
+    g = d.seifert_graph
     return g.node_count - component_count(g, -1) - component_count(g, +1) + 1
 
 
@@ -80,7 +82,7 @@ def genus_bound_knot(d: Diagram) -> Fraction:
         raise DisconnectedDiagramError("genus bound needs a connected diagram")
     if not d.is_knot:
         raise ValueError(f"knot genus bound is for knots; diagram has {d.components} components")
-    g = seifert_graph(d)
+    g = d.seifert_graph
     return Fraction(d.writhe - g.node_count + 2 * component_count(g, +1) - 1, 2)
 
 
@@ -92,7 +94,7 @@ def genus_bound_link(d: Diagram) -> Fraction:
     """
     if not d.is_connected:
         raise DisconnectedDiagramError("genus bound needs a connected diagram")
-    g = seifert_graph(d)
+    g = d.seifert_graph
     r = d.components
     return Fraction(d.writhe - g.node_count + 2 * component_count(g, +1) - 2 * r + 1, 2)
 
@@ -103,7 +105,7 @@ def classic_bennequin(d: Diagram) -> Fraction:
         raise DisconnectedDiagramError("genus bound needs a connected diagram")
     if not d.is_knot:
         raise ValueError(f"classic bound is for knots; diagram has {d.components} components")
-    return Fraction(d.writhe - oriented_resolution(d).count + 1, 2)
+    return Fraction(d.writhe - d.seifert_graph.node_count + 1, 2)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,179 @@
+"""The table and fuzz engines behind the ``table`` and ``fuzz`` commands.
+
+Both return plain data for ``cli`` to format.  Whether the oracle refuses a
+diagram is decided in ``lee_oracle`` alone: a refused table row leaves
+``s_oracle`` blank and a refused fuzz case skips the sandwich.
+"""
+
+from __future__ import annotations
+
+from contextlib import suppress
+from dataclasses import dataclass, field
+from importlib.resources import files
+from typing import Optional
+
+from .bounds import bound_Delta, bound_U, bounds_report, classic_bennequin, genus_bound_knot, genus_bound_link
+from .diagram import ConsistencyError, ValidationError, mirror, validate
+from .lee_oracle import CrossingLimitError, s_invariant
+from .notation import ParseError, braid_closure, diagram_from_pd, parse_pd, random_braids
+from .seifert import aux_graph, betti1_components
+
+TABLE_COLUMNS = ["name", "U", "Delta", "s_lower", "s_upper", "s_oracle", "known_s", "status", "detail"]
+
+
+def bundled_table_path() -> str:
+    return str(files("slicebound").joinpath("data/knots.csv"))
+
+
+def run_table(rows, oracle: bool, max_crossings: int):
+    """Evaluate knot-table rows; one result dict per input row, input order."""
+    results = []
+    for row in rows:
+        name = (row.get("name") or "").strip()
+        out = {key: "" for key in TABLE_COLUMNS}
+        out["name"] = name
+        known_s: Optional[int] = None
+        s_oracle: Optional[int] = None
+        try:
+            raw_known = (row.get("known_s") or "").strip()
+            if raw_known:
+                try:
+                    known_s = int(raw_known)
+                except ValueError:
+                    raise ValidationError(f"known_s = {raw_known!r} is not an integer") from None
+                if known_s % 2:
+                    raise ValidationError(f"known_s = {known_s} is odd; s is an even integer")
+            pd_field = (row.get("pd") or "").strip()
+            d = diagram_from_pd(parse_pd(pd_field))
+            validate(d)
+            if not d.is_knot or not d.is_connected:
+                raise ValidationError(f"table entries must be knots; got {d.components} components")
+            u, delta = bound_U(d), bound_Delta(d)
+            out["U"], out["Delta"] = u, delta
+            out["s_lower"], out["s_upper"] = u - 2 * delta, u
+            if oracle:
+                with suppress(CrossingLimitError):  # a refused row leaves s_oracle blank
+                    out["s_oracle"] = s_oracle = s_invariant(d, max_crossings)
+        except (ParseError, ValidationError, ConsistencyError) as exc:
+            out["status"], out["detail"] = "ERROR", str(exc)
+            results.append(out)
+            continue
+        if known_s is not None:
+            out["known_s"] = known_s
+
+        status, detail = "SANDWICH_OK", ""
+        if s_oracle is not None and not (u - 2 * delta <= s_oracle <= u):
+            status, detail = "MISMATCH", f"sandwich_violation: s={s_oracle} outside [{u - 2 * delta}, {u}]"
+        elif s_oracle is not None and known_s is not None and s_oracle != known_s:
+            status, detail = "MISMATCH", f"oracle_vs_known: oracle={s_oracle} known={known_s}"
+        elif known_s is not None and not (u - 2 * delta <= known_s <= u):
+            status, detail = "MISMATCH", f"known_outside_window: known={known_s} window=[{u - 2 * delta}, {u}]"
+        elif delta == 0:
+            status = "TIGHT"
+        out["status"], out["detail"] = status, detail
+        results.append(out)
+    return results
+
+
+@dataclass
+class FuzzSummary:
+    """Aggregated property-suite results; formats to a stable text block."""
+
+    count: int
+    strands: int
+    max_length: int
+    seed: int
+    oracle_limit: Optional[int]
+    cases: int = 0
+    knots: int = 0
+    links: int = 0
+    split: int = 0
+    checked: dict[str, int] = field(default_factory=dict)
+    passed: dict[str, int] = field(default_factory=dict)
+    failures: list[str] = field(default_factory=list)
+
+    def record(self, prop: str, ok: bool, context: str) -> None:
+        self.checked[prop] = self.checked.get(prop, 0) + 1
+        if ok:
+            self.passed[prop] = self.passed.get(prop, 0) + 1
+        else:
+            self.failures.append(f"FAIL property={prop} {context}")
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def text(self) -> str:
+        oracle = "off" if self.oracle_limit is None else f"<={self.oracle_limit}"
+        lines = [
+            f"fuzz: count={self.count} strands<={self.strands} max_length={self.max_length} "
+            f"seed={self.seed} oracle={oracle}",
+            f"cases: {self.cases}  knots: {self.knots}  links: {self.links}  split: {self.split}",
+        ]
+        for prop in sorted(self.checked):
+            lines.append(f"  {prop}: {self.passed.get(prop, 0)}/{self.checked[prop]}")
+        lines.extend(self.failures)
+        lines.append("PASS" if self.ok else "FAIL")
+        return "\n".join(lines) + "\n"
+
+
+def run_fuzz(
+    count: int,
+    strands: int,
+    max_length: int,
+    seed: int,
+    oracle_limit: Optional[int] = None,
+) -> FuzzSummary:
+    """Seeded property campaign over random braid closures.
+
+    Words are drawn with strand counts in [2, strands] and lengths in
+    [0, max_length]; all derived data is a pure function of the arguments.
+    The sandwich against the exact oracle runs only for knot closures the
+    oracle accepts at ``oracle_limit`` crossings (None disables it).
+    """
+    summary = FuzzSummary(count, strands, max_length, seed, oracle_limit)
+    for case, (w, word_seed) in enumerate(random_braids(count, strands, max_length, seed)):
+        context = f"case={case} word={w.strands}:{list(w.letters)} seed={word_seed}"
+        d = braid_closure(w)
+        summary.cases += 1
+        connected = d.is_connected
+        if not connected:
+            summary.split += 1
+        if d.is_knot:
+            summary.knots += 1
+        else:
+            summary.links += 1
+
+        try:
+            validate(d)
+            structure_ok = d.seifert_circles.count == w.strands and d.writhe == sum(
+                1 if k > 0 else -1 for k in w.letters
+            )
+        except (ValidationError, ConsistencyError):
+            structure_ok = False
+        summary.record("structure", structure_ok, context)
+
+        u, delta = bound_U(d), bound_Delta(d)
+        m = mirror(d)
+        summary.record("mirror_identity", bound_U(m) + u == 2 * delta and bound_Delta(m) == delta, context)
+
+        parts = betti1_components(aux_graph(d.seifert_graph, d.seifert_circles))
+        summary.record("betti_equals_delta", delta == sum(parts) + 1 - len(parts), context)
+
+        try:
+            bounds_report(d, w)
+            tightness_ok = True
+        except ConsistencyError:
+            tightness_ok = False
+        summary.record("tightness", tightness_ok, context)
+
+        if connected and d.is_knot:
+            summary.record("parity", u % 2 == 0, context)
+            gk = genus_bound_knot(d)
+            summary.record("dominance", gk >= classic_bennequin(d), context)
+            summary.record("link_reduction", genus_bound_link(d) == gk, context)
+            if oracle_limit is not None:
+                with suppress(CrossingLimitError):  # a refused case skips the sandwich
+                    s = s_invariant(d, oracle_limit)
+                    summary.record("sandwich", u - 2 * delta <= s <= u, context)
+    return summary

@@ -10,8 +10,9 @@ data is carried by the tuples themselves:
                                     b -> d at a negative crossing
 
 ``Diagram.resolution`` is the one routine that smooths the crossings and
-numbers the resulting circles; the oriented resolution (the Seifert circles)
-is cached on the diagram like its other derived quantities.
+numbers the resulting circles.  The oriented resolution (the Seifert
+circles) and the signed Seifert graph on it are cached on the diagram like
+its other derived quantities, so every bound reads one structure.
 """
 
 from __future__ import annotations
@@ -66,6 +67,36 @@ class SeifertCircles:
     circle_of_edge: dict[int, int]
     count: int
     reps: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SeifertGraph:
+    """Signed multigraph on Seifert circles: one edge per crossing.
+
+    The subgraphs T- and T+ keep every node and only the edges of one sign;
+    the component id of each node in them is computed once per graph.
+    """
+
+    node_count: int
+    edges: tuple[tuple[int, int, int, int], ...]  # (u, v, sign, crossing index)
+
+    def _component_ids(self, keep_sign: int) -> tuple[int, ...]:
+        uf = UnionFind(self.node_count)
+        for u, v, sign, _ in self.edges:
+            if sign == keep_sign:
+                uf.union(u, v)
+        roots: dict[int, int] = {}
+        return tuple(roots.setdefault(uf.find(node), len(roots)) for node in range(self.node_count))
+
+    @cached_property
+    def minus_component_ids(self) -> tuple[int, ...]:
+        """Component of each node in T-, ids by increasing minimum node."""
+        return self._component_ids(-1)
+
+    @cached_property
+    def plus_component_ids(self) -> tuple[int, ...]:
+        """Component of each node in T+, ids by increasing minimum node."""
+        return self._component_ids(+1)
 
 
 @dataclass(frozen=True)
@@ -214,6 +245,21 @@ class Diagram:
                 )
         return circles
 
+    @cached_property
+    def seifert_graph(self) -> SeifertGraph:
+        """One signed edge per crossing between the two circles it touches."""
+        of = self.seifert_circles.circle_of_edge
+        edges = tuple(
+            (of[c.under_in], of[c.under_out], c.sign, i) for i, c in enumerate(self.crossings)
+        )
+        return SeifertGraph(self.seifert_circles.count, edges)
+
+    @cached_property
+    def _validated(self) -> bool:
+        """True once ``validate``'s checks have passed; a failure raises and caches nothing."""
+        _check_structure(self)
+        return True
+
     @property
     def is_knot(self) -> bool:
         return self.components == 1
@@ -225,8 +271,14 @@ class Diagram:
 def validate(d: Diagram) -> None:
     """Check all structural invariants, reporting the first offender.
 
-    Idempotent; raises ValidationError naming the offending edge or crossing.
+    The checks run once per diagram: after they pass this returns at once,
+    and a diagram that fails raises ValidationError naming the offending
+    edge or crossing on every call.
     """
+    d._validated  # reading the cached property runs the checks
+
+
+def _check_structure(d: Diagram) -> None:
     if not d.crossings and not d.free_loops:
         raise ValidationError("empty diagram: no crossings and no free loops")
     if len(set(d.free_loops)) != len(d.free_loops):

@@ -44,11 +44,12 @@ from math import gcd
 from typing import Optional
 
 from .diagram import ConsistencyError, Diagram, SeifertCircles, validate
-from .seifert import seifert_graph, two_coloring
+from .seifert import two_coloring
 
 
 class CrossingLimitError(ValueError):
-    """Refusal to build a complex beyond the configured crossing limit."""
+    """Refusal to build a complex beyond the configured crossing limit; only
+    ``build_slice`` decides it, and callers that skip refused diagrams catch it."""
 
 
 DEFAULT_MAX_CROSSINGS = 12
@@ -245,16 +246,8 @@ def _check_slice(s: LeeComplexSlice) -> None:
                     raise ConsistencyError(
                         f"differential is not filtered: {src_q[j]} -> {tgt_q[t]}"
                     )
-    for j, col in enumerate(s.d_in):
-        acc: dict[int, int] = {}
-        for t, coeff in col.items():
-            for t2, c2 in s.d_out[t].items():
-                v = acc.get(t2, 0) + coeff * c2
-                if v:
-                    acc[t2] = v
-                else:
-                    acc.pop(t2, None)
-        if acc:
+    for col in s.d_in:
+        if _boundary(s.d_out, col):
             raise ConsistencyError("d_out . d_in != 0")
 
 
@@ -312,7 +305,7 @@ def canonical_cycles(
     two is taken as "the" orientation cycle is immaterial for the invariant.
     """
     s = slice_ if slice_ is not None else build_slice(d, max_crossings)
-    coloring = two_coloring(seifert_graph(d))
+    coloring = two_coloring(d.seifert_graph)
 
     s_o = _expand_cycle(s, tuple(coloring))
     s_obar = _expand_cycle(s, tuple(1 - c for c in coloring))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .diagram import Crossing, Diagram, ValidationError
 
@@ -296,3 +297,22 @@ def random_braid(strands: int, length: int, seed: int) -> BraidWord:
         gen = k // 2 + 1
         letters.append(gen if k % 2 == 0 else -gen)
     return BraidWord(strands, tuple(letters))
+
+
+def random_braids(
+    count: int, strands: int, max_length: int, seed: int
+) -> Iterator[tuple[BraidWord, int]]:
+    """The ``fuzz`` corpus: ``count`` pairs (``random_braid`` word, its seed).
+
+    One SplitMix64 stream seeded with ``seed`` draws per word, in order, a
+    strand count in [2, strands], a length in [0, max_length] and the seed;
+    an empty range raises ValidationError once iteration starts.
+    """
+    if count < 0 or strands < 2 or max_length < 0:
+        raise ValidationError("fuzz needs count >= 0, strands >= 2, max_length >= 0")
+    master = _splitmix64(seed & ((1 << 64) - 1))
+    for _ in range(count):
+        s_i = 2 if strands == 2 else 2 + _uniform(master, strands - 1)
+        length = _uniform(master, max_length + 1)
+        word_seed = next(master)
+        yield random_braid(s_i, length, word_seed), word_seed

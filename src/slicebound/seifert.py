@@ -1,34 +1,26 @@
 """Seifert circles, the signed Seifert graph, and the auxiliary circle graph.
 
 Smoothing every crossing coherently with orientation partitions the edges
-into Seifert circles.  Circles are found in one place, ``Diagram.resolution``
-in ``diagram``, which also resolves every cube vertex of the Lee oracle; the
-oriented resolution is cached per diagram as ``Diagram.seifert_circles``.
-``UnionFind`` and ``SeifertCircles`` live in ``diagram`` and are re-exported
-here.  The Seifert graph has one node per circle and one signed edge per
-crossing; removing + (resp. -) edges gives the subgraphs whose component
-counts drive the bounds.  The auxiliary graph joins each
-circle's negative-subgraph component to its positive-subgraph component;
-its first Betti number equals the error width of the bound.
+into Seifert circles.  The Seifert graph has one node per circle and one
+signed edge per crossing; removing + (resp. -) edges gives the subgraphs
+whose component counts drive the bounds.  Circles, graph and the component
+ids of both signed subgraphs are found once per diagram, in ``diagram``
+(``Diagram.seifert_circles``, ``Diagram.seifert_graph``), whose
+``UnionFind``, ``SeifertCircles`` and ``SeifertGraph`` are re-exported here.
+The auxiliary graph joins each circle's negative-subgraph component to its
+positive-subgraph component; its first Betti number equals the error width
+of the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import ConsistencyError, Diagram, SeifertCircles, UnionFind
+from .diagram import ConsistencyError, Diagram, SeifertCircles, SeifertGraph, UnionFind
 
 
 class DisconnectedDiagramError(ValueError):
     """Operation needs a connected diagram; caller should go per-component."""
-
-
-@dataclass(frozen=True)
-class SeifertGraph:
-    """Signed multigraph on Seifert circles: one edge per crossing."""
-
-    node_count: int
-    edges: tuple[tuple[int, int, int, int], ...]  # (u, v, sign, crossing index)
 
 
 @dataclass(frozen=True)
@@ -48,31 +40,18 @@ def oriented_resolution(d: Diagram) -> SeifertCircles:
 
 
 def seifert_graph(d: Diagram) -> SeifertGraph:
-    """One signed edge per crossing between the two circles it touches."""
-    circles = d.seifert_circles
-    of = circles.circle_of_edge
-    edges = tuple(
-        (of[c.under_in], of[c.under_out], c.sign, i) for i, c in enumerate(d.crossings)
-    )
-    return SeifertGraph(circles.count, edges)
+    """One signed edge per crossing between the two circles it touches.
+
+    This is ``d.seifert_graph``, built once per diagram.
+    """
+    return d.seifert_graph
 
 
 def component_count(g: SeifertGraph, keep_sign: int) -> int:
     """Components of the subgraph keeping only edges of one sign (all nodes kept)."""
-    return len(set(_subgraph_component_ids(g, keep_sign)))
-
-
-def _subgraph_component_ids(g: SeifertGraph, keep_sign: int) -> list[int]:
-    uf = UnionFind(g.node_count)
-    for u, v, sign, _ in g.edges:
-        if sign == keep_sign:
-            uf.union(u, v)
-    roots: dict[int, int] = {}
-    out = []
-    for node in range(g.node_count):
-        r = uf.find(node)
-        out.append(roots.setdefault(r, len(roots)))
-    return out
+    if keep_sign not in (1, -1):
+        raise ValueError(f"keep_sign must be +1 or -1, got {keep_sign}")
+    return len(set(g.plus_component_ids if keep_sign > 0 else g.minus_component_ids))
 
 
 def aux_graph(g: SeifertGraph, circles: SeifertCircles) -> AuxGraph:
@@ -83,8 +62,7 @@ def aux_graph(g: SeifertGraph, circles: SeifertCircles) -> AuxGraph:
     """
     if circles.count != g.node_count:
         raise ValueError("circles and graph come from different diagrams")
-    minus = _subgraph_component_ids(g, -1)
-    plus = _subgraph_component_ids(g, +1)
+    minus, plus = g.minus_component_ids, g.plus_component_ids
     n_minus = max(minus) + 1
     n_plus = max(plus) + 1
     edges = tuple((minus[c], n_minus + plus[c]) for c in range(g.node_count))

@@ -9,6 +9,7 @@ from slicebound import (
     ConsistencyError,
     Diagram,
     DisconnectedDiagramError,
+    SeifertGraph,
     bound_Delta,
     bound_U,
     bounds_report,
@@ -193,3 +194,8 @@ class TestResolveOnce:
         d = Diagram(FIG8.crossings)  # fresh: nothing cached yet
         bounds_report(d)
         assert resolution_masks == [d.oriented_mask]
+
+    def test_bounds_report_builds_one_seifert_graph(self, calls):
+        graphs = calls(SeifertGraph, "__init__")
+        bounds_report(Diagram(FIG8.crossings))
+        assert len(graphs) == 1

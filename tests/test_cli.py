@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import slicebound.diagram
+from slicebound import SeifertGraph
 from slicebound.cli import bundled_table_path, main, run_fuzz, run_table
 
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -108,6 +110,7 @@ class TestTableCommand:
             'odd,"X[1,1,2,2]",1\n'
             'bad,"X[1,2,3]",\n'
             'link,"X[1,3,2,4] X[2,4,1,3]",\n'
+            'notint,"X[1,1,2,2]",x\n'
         )
         code, out, err = run_cli(capsys, "table", "--in", str(table))
         assert code == 1
@@ -116,6 +119,14 @@ class TestTableCommand:
         assert rows["odd"]["status"] == "ERROR" and "odd" in rows["odd"]["detail"]
         assert rows["bad"]["status"] == "ERROR"
         assert rows["link"]["status"] == "ERROR" and "knots" in rows["link"]["detail"]
+        assert rows["notint"]["status"] == "ERROR" and "not an integer" in rows["notint"]["detail"]
+
+    def test_unreadable_input_and_unwritable_output_exit_2(self, tmp_path, capsys):
+        for argv in (("table", "--in", str(tmp_path / "missing.csv")),
+                     ("table", "--out", str(tmp_path / "missing" / "out.csv"))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert not out and err.startswith("error: ")
 
     def test_mismatch_on_wrong_known_s(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
@@ -191,6 +202,21 @@ class TestRunFuzzEngine:
         summary = run_fuzz(30, 5, 12, 42)
         assert summary.ok and summary.cases == 30
         assert len(resolution_masks) == 2 * summary.cases
+
+    def test_each_case_builds_the_graph_of_the_diagram_and_its_mirror_once(self, calls):
+        graphs = calls(SeifertGraph, "__init__")
+        summary = run_fuzz(30, 5, 12, 42)
+        assert len(graphs) == 2 * summary.cases
+
+    def test_each_case_runs_at_most_four_signed_component_passes(self, calls):
+        passes = calls(SeifertGraph, "_component_ids")
+        summary = run_fuzz(30, 5, 12, 42)
+        assert len(passes) <= 4 * summary.cases
+
+    def test_each_case_runs_the_validation_checks_once(self, calls):
+        checks = calls(slicebound.diagram, "_check_structure")
+        summary = run_fuzz(30, 5, 12, 42)
+        assert len(checks) == summary.cases
 
 
 class TestRunTableEngine:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import slicebound.diagram
 from slicebound import (
     BraidWord,
     Crossing,
@@ -29,6 +30,21 @@ class TestValidate:
         for d in (TREFOIL, UNKNOT0, FIG8):
             validate(d)
             validate(d)  # idempotent
+
+    def test_checks_run_once_per_passing_diagram(self, calls):
+        checks = calls(slicebound.diagram, "_check_structure")
+        d = Diagram(FIG8.crossings)  # fresh: nothing cached yet
+        validate(d)
+        validate(d)
+        assert len(checks) == 1
+
+    def test_failing_diagram_raises_on_every_call(self, calls):
+        checks = calls(slicebound.diagram, "_check_structure")
+        bad = Diagram(())
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="empty diagram"):
+                validate(bad)
+        assert len(checks) == 2
 
     def test_edge_used_three_times(self):
         bad = Diagram(

@@ -1,0 +1,72 @@
+"""Layering rules of the package source, checked on its syntax trees.
+
+* No module imports another module's private name
+  (``from .<module> import _<name>``): what a layer shares, it makes public.
+* Only ``lee_oracle`` decides whether the oracle refuses a diagram: no other
+  module compares a crossing count (``len(<...>.crossings)``) with a limit
+  (a name containing ``limit`` or ``max_crossings``).  Callers that skip
+  refused diagrams catch ``CrossingLimitError``.
+* ``cli`` holds argument parsing, input loading, output formatting and exit
+  codes only: no classes, and no functions but the ``cmd_*`` handlers,
+  ``build_parser``, ``main`` and its I/O helpers.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "slicebound"
+CLI_FUNCTIONS = re.compile(r"cmd_\w+|build_parser|main|_load_input|_write_out|_csv_cell|_csv_text")
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _is_crossing_count(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "crossings")
+
+
+def _is_limit(node):
+    return any("limit" in name.lower() or "max_crossings" in name.lower() for name in _names(node))
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    found = []
+    for filename, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("slicebound")):
+                found += [f"{filename}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert not found
+
+
+def test_only_the_oracle_compares_crossing_counts_with_limits():
+    found = []
+    for filename, tree in _trees().items():
+        if filename == "lee_oracle.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_is_crossing_count, operands)) and any(map(_is_limit, operands)):
+                    found.append(f"{filename}:{node.lineno}")
+    assert not found
+
+
+def test_cli_defines_only_handlers_and_io():
+    tree = _trees()["cli.py"]
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert not classes
+    assert [name for name in functions if not CLI_FUNCTIONS.fullmatch(name)] == []

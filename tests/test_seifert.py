@@ -165,6 +165,10 @@ class TestComponentCount:
             assert component_count(g, +1) == component_count(gm, -1)
             assert component_count(g, -1) == component_count(gm, +1)
 
+    def test_rejects_a_sign_other_than_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="keep_sign"):
+            component_count(seifert_graph(TREFOIL), 0)
+
 
 class TestAuxGraph:
     def test_positive_trefoil_tree(self):
