@@ -15,7 +15,7 @@ from typing import Optional
 from .bounds import bound_Delta, bound_U, bounds_report, classic_bennequin, genus_bound_knot, genus_bound_link
 from .diagram import ConsistencyError, ValidationError, mirror, validate
 from .lee_oracle import CrossingLimitError, s_invariant
-from .notation import ParseError, braid_closure, diagram_from_pd, parse_pd, random_braids
+from .notation import ParseError, braid_closure, parse_pd, random_braids
 from .seifert import aux_graph, betti1_components
 
 TABLE_COLUMNS = ["name", "U", "Delta", "s_lower", "s_upper", "s_oracle", "known_s", "status", "detail"]
@@ -44,7 +44,7 @@ def run_table(rows, oracle: bool, max_crossings: int):
                 if known_s % 2:
                     raise ValidationError(f"known_s = {known_s} is odd; s is an even integer")
             pd_field = (row.get("pd") or "").strip()
-            d = diagram_from_pd(parse_pd(pd_field))
+            d = parse_pd(pd_field).diagram
             validate(d)
             if not d.is_knot or not d.is_connected:
                 raise ValidationError(f"table entries must be knots; got {d.components} components")

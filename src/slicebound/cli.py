@@ -21,7 +21,7 @@ from .checks import TABLE_COLUMNS, bundled_table_path, run_fuzz, run_table
 from .diagram import ConsistencyError, Diagram
 from .lee_oracle import DEFAULT_MAX_CROSSINGS, CrossingLimitError, build_slice
 from .lee_oracle import filtration_profile, profile_jumps, s_invariant
-from .notation import BraidWord, ParseError, braid_closure, diagram_from_pd, parse_braid, parse_pd
+from .notation import BraidWord, ParseError, braid_closure, parse_braid, parse_pd
 
 
 def _load_input(pd: Optional[str], braid: Optional[str]) -> tuple[Diagram, Optional[BraidWord]]:
@@ -30,7 +30,7 @@ def _load_input(pd: Optional[str], braid: Optional[str]) -> tuple[Diagram, Optio
     if braid is not None:
         w = parse_braid(braid)
         return braid_closure(w), w
-    return diagram_from_pd(parse_pd(pd)), None
+    return parse_pd(pd).diagram, None
 
 
 def _write_out(text: str, out: Optional[str]) -> None:

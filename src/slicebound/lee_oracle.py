@@ -22,6 +22,13 @@ s(unknot) = 0):
   Delta(v_minus) = v_minus v_minus + v_plus v_plus, all unit coefficients
   times the cube edge sign (-1)^(set bits below the flipped one).
 
+Unit-entry invariant: every entry of ``d_in`` and ``d_out`` is +1 or -1.  A
+label's terms under one edge map are distinct, and different flipped
+crossings reach different target vertices, so no two terms of a column ever
+meet.  ``_check_slice`` verifies the invariant on every slice and, under it,
+checks d_out . d_in = 0 by comparing the targets of the +1 and -1 terms of
+each composite column.
+
 Coefficients are exact: matrices live over the integers, and every
 elimination step leaves an integer column that is a nonzero rational multiple
 of its reduction over the rationals, which is equivalent to working over the
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 from typing import Optional
 
@@ -94,23 +101,49 @@ class LeeComplexSlice:
         return pos, order, pivots
 
 
-def _grade(labels: int, k: int, mask: int, n_plus: int, n_minus: int) -> int:
-    return (k - 2 * labels.bit_count()) + mask.bit_count() + n_plus - 2 * n_minus
+def _label_gradings(k: int, shift: int) -> list[int]:
+    """q of every label on k circles: (#v_plus - #v_minus) + ``shift``."""
+    q = [k + shift]
+    for _ in range(k):
+        q += [x - 2 for x in q]
+    return q
+
+
+def _label_table(contrib: list[int]) -> list[int]:
+    """XOR of ``contrib[j]`` over the set bits j of each label, for every label.
+
+    Filled in whole blocks: the labels with highest set bit j are those below
+    2^j with ``contrib[j]`` added, i.e. tab[l] = tab[l - 2^j] ^ contrib[j].
+    """
+    tab = [0]
+    for c in contrib:
+        tab += [x ^ c for x in tab]
+    return tab
 
 
 def _build_matrix(
     d: Diagram,
     sources: tuple[int, ...],
-    src_offsets: dict[int, int],
     tgt_offsets: dict[int, int],
     circles: dict[int, SeifertCircles],
 ) -> list[dict[int, int]]:
+    """Columns of the cube differential from the vertices ``sources``: one
+    column per (vertex, label), in the order ``build_slice`` numbers them,
+    keyed by target generator index.
+
+    Each edge map sends a label to one target (merge) or two (split) whose
+    label bits are an XOR-linear function of the source label, plus a
+    constant, so a whole vertex's targets come from one label table per
+    flipped crossing.  Every entry is the cube edge sign, written once: the
+    two terms of a split differ at its two child circles, and different
+    crossings land in different target vertices.
+    """
     n = len(d.crossings)
-    total = sum(1 << circles[m].count for m in sources)
-    cols: list[dict[int, int]] = [dict() for _ in range(total)]
+    cols: list[dict[int, int]] = []
     for m in sources:
         ca = circles[m]
-        base = src_offsets[m]
+        targets: list[list[int]] = []
+        signs: list[int] = []
         for i in range(n):
             if m >> i & 1:
                 continue
@@ -121,53 +154,36 @@ def _build_matrix(
             cb = circles[m2]
             tbase = tgt_offsets[m2]
             a, b, _, _ = d.crossings[i].edges
-            src_a = ca.circle_of_edge[a]
+            contrib = [1 << cb.circle_of_edge[rep] for rep in ca.reps]
             if cb.count == ca.count - 1:
-                # merge: the two circles at crossing i join; label bits XOR
-                src_c = ca.circle_of_edge[d.crossings[i].edges[2]]
-                tgt_of = [cb.circle_of_edge[rep] for rep in ca.reps]
-                merged = tgt_of[src_a]
-                for label in range(1 << ca.count):
-                    out = 0
-                    merged_bit = 0
-                    for j in range(ca.count):
-                        bit = label >> j & 1
-                        if j == src_a or j == src_c:
-                            merged_bit ^= bit
-                        elif bit:
-                            out |= 1 << tgt_of[j]
-                    out |= merged_bit << merged
-                    col = cols[base + label]
-                    tgt = tbase + out
-                    col[tgt] = col.get(tgt, 0) + sign
+                # merge: both circles at crossing i map to the merged circle,
+                # so their bits XOR there: v_minus * v_minus = v_plus
+                tab = _label_table(contrib)
+                targets.append([tbase + x for x in tab])
+                signs.append(sign)
             elif cb.count == ca.count + 1:
-                # split: circle through crossing i divides into two children
-                t1 = cb.circle_of_edge[a]
-                t2 = cb.circle_of_edge[b]
-                tgt_of = [
-                    cb.circle_of_edge[rep] if j != src_a else -1
-                    for j, rep in enumerate(ca.reps)
-                ]
-                for label in range(1 << ca.count):
-                    out = 0
-                    for j in range(ca.count):
-                        if j != src_a and label >> j & 1:
-                            out |= 1 << tgt_of[j]
-                    col = cols[base + label]
-                    if label >> src_a & 1:
-                        # Delta(v_minus) = v_minus v_minus + v_plus v_plus
-                        terms = (out | 1 << t1 | 1 << t2, out)
-                    else:
-                        # Delta(v_plus) = v_plus v_minus + v_minus v_plus
-                        terms = (out | 1 << t2, out | 1 << t1)
-                    for out_label in terms:
-                        tgt = tbase + out_label
-                        col[tgt] = col.get(tgt, 0) + sign
+                # split: the circle through crossing i divides into t1 and
+                # t2.  With its bit sent to t1, the table holds the other
+                # circles' bits plus t1 exactly when it carries v_minus, so
+                # Delta(v_plus) = v_plus v_minus + v_minus v_plus and
+                # Delta(v_minus) = v_minus v_minus + v_plus v_plus are the
+                # table XOR t2 and the table XOR t1
+                t1 = 1 << cb.circle_of_edge[a]
+                t2 = 1 << cb.circle_of_edge[b]
+                contrib[ca.circle_of_edge[a]] = t1
+                tab = _label_table(contrib)
+                targets.append([tbase + (x ^ t2) for x in tab])
+                targets.append([tbase + (x ^ t1) for x in tab])
+                signs += (sign, sign)
             else:
                 raise ConsistencyError(
                     f"resolution change at crossing {i} is not a merge or split; "
                     "diagram data is not planar"
                 )
+        if targets:
+            cols += [dict(zip(keys, signs)) for keys in zip(*targets)]
+        else:
+            cols += [{} for _ in range(1 << ca.count)]
     return cols
 
 
@@ -203,22 +219,26 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     offsets: dict[int, dict[int, int]] = {}
     gradings: dict[int, tuple[int, ...]] = {}
     for degree in (-1, 0, 1):
+        # |v| + n_plus - 2 n_minus is the same at every vertex of one degree
+        shift = degree + d.n_plus - n_minus
+        tables: dict[int, list[int]] = {}  # circle count -> q of each label
         off: dict[int, int] = {}
         grades: list[int] = []
         pos = 0
         for m in vertices[degree]:
             if m not in circles:
                 circles[m] = d.resolution(m)
-            data = circles[m]
+            k = circles[m].count
             off[m] = pos
-            pos += 1 << data.count
-            for label in range(1 << data.count):
-                grades.append(_grade(label, data.count, m, d.n_plus, n_minus))
+            pos += 1 << k
+            if k not in tables:
+                tables[k] = _label_gradings(k, shift)
+            grades += tables[k]
         offsets[degree] = off
         gradings[degree] = tuple(grades)
 
-    d_in = _build_matrix(d, vertices[-1], offsets[-1], offsets[0], circles)
-    d_out = _build_matrix(d, vertices[0], offsets[0], offsets[1], circles)
+    d_in = _build_matrix(d, vertices[-1], offsets[0], circles)
+    d_out = _build_matrix(d, vertices[0], offsets[1], circles)
 
     slice_ = LeeComplexSlice(
         diagram=d,
@@ -236,7 +256,14 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
 
 
 def _check_slice(s: LeeComplexSlice) -> None:
-    """Always-on structural checks: filtered columns and d_out . d_in = 0."""
+    """Always-on structural checks: filtered columns and d_out . d_in = 0.
+
+    Every entry must be +-1 (Lee's edge maps have unit coefficients and
+    distinct targets).  Then column j of d_out . d_in is a sum of +-1 terms,
+    one per path e_j -> e_t -> e_u, and it is zero exactly when, for every u,
+    as many terms are +1 as -1: when the sorted targets of the +1 terms equal
+    those of the -1 terms.
+    """
     for src_deg, cols in ((-1, s.d_in), (0, s.d_out)):
         src_q = s.gradings[src_deg]
         tgt_q = s.gradings[src_deg + 1]
@@ -246,8 +273,24 @@ def _check_slice(s: LeeComplexSlice) -> None:
                     raise ConsistencyError(
                         f"differential is not filtered: {src_q[j]} -> {tgt_q[t]}"
                     )
+        entries = set(chain.from_iterable(map(dict.values, cols)))
+        if not entries <= {1, -1}:
+            raise ConsistencyError(f"differential has a non-unit entry: {sorted(entries - {1, -1})}")
+    plus = [[u for u, c in col.items() if c > 0] for col in s.d_out]
+    minus = [[u for u, c in col.items() if c < 0] for col in s.d_out]
     for col in s.d_in:
-        if _boundary(s.d_out, col):
+        up: list[int] = []
+        down: list[int] = []
+        for t, c in col.items():
+            if c > 0:
+                up += plus[t]
+                down += minus[t]
+            else:
+                up += minus[t]
+                down += plus[t]
+        up.sort()
+        down.sort()
+        if up != down:
             raise ConsistencyError("d_out . d_in != 0")
 
 

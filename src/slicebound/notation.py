@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .diagram import Crossing, Diagram, ValidationError
@@ -57,6 +58,11 @@ class PdCode:
 
     crossings: tuple[tuple[int, int, int, int], ...]
 
+    @cached_property
+    def diagram(self) -> Diagram:
+        """``diagram_from_pd(self)``, compiled once per code."""
+        return diagram_from_pd(self)
+
 
 def parse_braid(text: str) -> BraidWord:
     """Parse ``"strands: [k1,k2,...]"`` into a validated BraidWord."""
@@ -89,7 +95,8 @@ def parse_pd(text: str) -> PdCode:
 
     Raises ParseError for malformed text and ValidationError for codes that
     are grammatical but not a coherent diagram (label used != 2 times,
-    incoherent strand cycles).
+    incoherent strand cycles).  The compiled diagram is the code's cached
+    ``diagram``.
     """
     if not text or not text.strip():
         raise ParseError("empty PD text")
@@ -109,7 +116,7 @@ def parse_pd(text: str) -> PdCode:
     if not tuples:
         raise ParseError("PD text contains no crossings")
     code = PdCode(tuple(tuples))
-    diagram_from_pd(code)  # semantic validation
+    code.diagram  # semantic validation; the diagram stays cached on the code
     return code
 
 
@@ -236,7 +243,7 @@ def braid_closure(w: BraidWord) -> Diagram:
     cur = {p: p for p in range(1, n + 1)}
     touched = {p: False for p in range(1, n + 1)}
     next_id = n + 1
-    crossings: list[Crossing] = []
+    raw: list[tuple[tuple[int, int, int, int], int]] = []
     for letter in w.letters:
         k = abs(letter)
         in_left, in_right = cur[k], cur[k + 1]
@@ -244,18 +251,19 @@ def braid_closure(w: BraidWord) -> Diagram:
         next_id += 2
         if letter > 0:
             # under-strand enters bottom-right; counterclockwise from it:
-            crossings.append(Crossing((in_right, out_right, out_left, in_left), +1))
+            raw.append(((in_right, out_right, out_left, in_left), +1))
         else:
-            crossings.append(Crossing((in_left, in_right, out_right, out_left), -1))
+            raw.append(((in_left, in_right, out_right, out_left), -1))
         cur[k], cur[k + 1] = out_left, out_right
         touched[k] = touched[k + 1] = True
 
+    # the last edge of each strand closes up onto its first
     rename = {cur[p]: p for p in range(1, n + 1) if touched[p]}
-    renamed = tuple(
-        Crossing(tuple(rename.get(e, e) for e in c.edges), c.sign) for c in crossings
+    crossings = tuple(
+        Crossing(tuple(rename.get(e, e) for e in edges), sign) for edges, sign in raw
     )
     loops = tuple(p for p in range(1, n + 1) if not touched[p])
-    return Diagram(renamed, loops)
+    return Diagram(crossings, loops)
 
 
 def _splitmix64(state: int):

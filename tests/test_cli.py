@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import slicebound.diagram
+import slicebound.notation
 from slicebound import SeifertGraph
 from slicebound.cli import bundled_table_path, main, run_fuzz, run_table
 
@@ -225,6 +227,31 @@ class TestRunTableEngine:
         out = run_table(rows, oracle=False, max_crossings=12)
         assert out[0]["status"] == "TIGHT"
         assert out[0]["known_s"] == ""
+
+
+class TestPdCompiledOnce:
+    """A PD input is compiled into a diagram once, by ``parse_pd``."""
+
+    @pytest.fixture
+    def compiled(self, calls):
+        """Counts the ``diagram_from_pd`` calls made through every package
+        namespace that binds it."""
+        fn = slicebound.notation.diagram_from_pd
+        modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "slicebound"]
+        seen = [calls(m, "diagram_from_pd") for m in modules if getattr(m, "diagram_from_pd", None) is fn]
+        return lambda: sum(map(len, seen))
+
+    def test_each_table_row_compiles_once(self, compiled):
+        with open(bundled_table_path(), newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        results = run_table(rows, oracle=False, max_crossings=12)
+        assert all(r["status"] in ("TIGHT", "SANDWICH_OK") for r in results)
+        assert compiled() == len(rows)
+
+    @pytest.mark.parametrize("argv", [["bound", "--pd", FIG8_PD, "--oracle"], ["oracle", "--pd", FIG8_PD]])
+    def test_each_pd_input_compiles_once(self, compiled, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+        assert compiled() == 1
 
 
 class TestFrozenCorpus:

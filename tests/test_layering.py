@@ -9,6 +9,10 @@
 * ``cli`` holds argument parsing, input loading, output formatting and exit
   codes only: no classes, and no functions but the ``cmd_*`` handlers,
   ``build_parser``, ``main`` and its I/O helpers.
+* ``lee_oracle`` defines one matrix builder, which ``build_slice`` calls for
+  both differentials, and ``build_slice`` runs ``_check_slice`` on every
+  slice it returns.  ``_check_slice`` and ``_column_echelon`` stay
+  module-level functions: the benchmark traces them by name.
 """
 
 import ast
@@ -70,3 +74,17 @@ def test_cli_defines_only_handlers_and_io():
     functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert not classes
     assert [name for name in functions if not CLI_FUNCTIONS.fullmatch(name)] == []
+
+
+def _called_names(node):
+    return [sub.func.id for sub in ast.walk(node) if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)]
+
+
+def test_the_oracle_builds_both_differentials_with_one_builder_and_checks_them():
+    functions = {node.name: node for node in _trees()["lee_oracle.py"].body if isinstance(node, ast.FunctionDef)}
+    assert {"build_slice", "_check_slice", "_column_echelon"} <= set(functions)
+    builders = [name for name in functions if "matrix" in name]
+    assert len(builders) == 1
+    called = _called_names(functions["build_slice"])
+    assert called.count(builders[0]) == 2
+    assert "_check_slice" in called

@@ -1,5 +1,7 @@
 """Exact oracle: complex construction, canonical cycles, s, filtration."""
 
+import csv
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -7,10 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import slicebound.checks
 import slicebound.cli
 import slicebound.lee_oracle
 from slicebound import (
     BraidWord,
+    ConsistencyError,
     CrossingLimitError,
     Diagram,
     braid_closure,
@@ -25,7 +29,7 @@ from slicebound import (
     s_invariant,
     s_window,
 )
-from slicebound.lee_oracle import _column_echelon, _reduce_against, _row_order, _to_positions
+from slicebound.lee_oracle import _check_slice, _column_echelon, _reduce_against, _row_order, _to_positions
 
 TREFOIL = braid_closure(BraidWord(2, (1, 1, 1)))
 UNKNOT0 = braid_closure(BraidWord(1, ()))
@@ -355,3 +359,179 @@ class TestPivotOrderAndClearing:
         pivots = build_slice(d).din_echelon[2]
         assert len(pivots) == 2468
         assert sum(len(col) for col in pivots.values()) / len(pivots) <= 12
+
+
+# --- table-driven cube construction against the accumulate-style builder ---
+
+
+def _reference_grade(labels, k, mask, n_plus, n_minus):
+    return (k - 2 * labels.bit_count()) + mask.bit_count() + n_plus - 2 * n_minus
+
+
+def _reference_build_matrix(d, sources, src_offsets, tgt_offsets, circles):
+    """The cube differential built label by label and circle by circle, each
+    entry accumulated with ``dict.get``."""
+    n = len(d.crossings)
+    total = sum(1 << circles[m].count for m in sources)
+    cols = [dict() for _ in range(total)]
+    for m in sources:
+        ca = circles[m]
+        base = src_offsets[m]
+        for i in range(n):
+            if m >> i & 1:
+                continue
+            m2 = m | 1 << i
+            if m2 not in tgt_offsets:
+                continue
+            sign = -1 if (m & ((1 << i) - 1)).bit_count() % 2 else 1
+            cb = circles[m2]
+            tbase = tgt_offsets[m2]
+            a, b, _, _ = d.crossings[i].edges
+            src_a = ca.circle_of_edge[a]
+            if cb.count == ca.count - 1:
+                src_c = ca.circle_of_edge[d.crossings[i].edges[2]]
+                tgt_of = [cb.circle_of_edge[rep] for rep in ca.reps]
+                merged = tgt_of[src_a]
+                for label in range(1 << ca.count):
+                    out = 0
+                    merged_bit = 0
+                    for j in range(ca.count):
+                        bit = label >> j & 1
+                        if j == src_a or j == src_c:
+                            merged_bit ^= bit
+                        elif bit:
+                            out |= 1 << tgt_of[j]
+                    out |= merged_bit << merged
+                    col = cols[base + label]
+                    tgt = tbase + out
+                    col[tgt] = col.get(tgt, 0) + sign
+            else:
+                assert cb.count == ca.count + 1
+                t1 = cb.circle_of_edge[a]
+                t2 = cb.circle_of_edge[b]
+                tgt_of = [cb.circle_of_edge[rep] if j != src_a else -1 for j, rep in enumerate(ca.reps)]
+                for label in range(1 << ca.count):
+                    out = 0
+                    for j in range(ca.count):
+                        if j != src_a and label >> j & 1:
+                            out |= 1 << tgt_of[j]
+                    col = cols[base + label]
+                    if label >> src_a & 1:
+                        terms = (out | 1 << t1 | 1 << t2, out)
+                    else:
+                        terms = (out | 1 << t2, out | 1 << t1)
+                    for out_label in terms:
+                        tgt = tbase + out_label
+                        col[tgt] = col.get(tgt, 0) + sign
+    return cols
+
+
+def _table_knots():
+    with open(slicebound.checks.bundled_table_path(), newline="", encoding="utf-8") as fh:
+        return [parse_pd(row["pd"]).diagram for row in csv.DictReader(fh)]
+
+
+class TestTableDrivenConstruction:
+    @staticmethod
+    def _assert_matches_reference(d):
+        s = build_slice(d)
+        gradings = {
+            degree: tuple(
+                _reference_grade(label, s.circles[m].count, m, d.n_plus, d.n_minus)
+                for m in s.vertices[degree]
+                for label in range(1 << s.circles[m].count)
+            )
+            for degree in (-1, 0, 1)
+        }
+        assert s.gradings == gradings
+        d_in = _reference_build_matrix(d, s.vertices[-1], s.offsets[-1], s.offsets[0], s.circles)
+        d_out = _reference_build_matrix(d, s.vertices[0], s.offsets[0], s.offsets[1], s.circles)
+        assert list(s.d_in) == d_in
+        assert list(s.d_out) == d_out
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=_braid_knots())
+    @example(d=MIXED)
+    @example(d=FIG8)
+    @example(d=mirror(TREFOIL))
+    def test_braid_knots_match_the_accumulating_builder(self, d):
+        self._assert_matches_reference(d)
+
+    def test_table_knots_match_the_accumulating_builder(self):
+        knots = _table_knots()
+        assert len(knots) == 36
+        for d in knots:
+            self._assert_matches_reference(d)
+
+
+# --- the structural check catches corrupted differentials -----------------
+
+
+class TestCheckSliceMutations:
+    """Each corruption of a built slice raises in ``_check_slice``, and the
+    message names the check that caught it."""
+
+    @pytest.fixture(scope="class")
+    def fig8(self):
+        s = build_slice(FIG8)
+        assert s.dim(-1) and s.dim(1)
+        return s
+
+    @staticmethod
+    def _entry(s):
+        """A d_in column j and a target t of it whose d_out column is nonempty."""
+        return next((j, t) for j, col in enumerate(s.d_in) for t in col if s.d_out[t])
+
+    @staticmethod
+    def _with_column(s, matrix, j, col):
+        cols = list(getattr(s, matrix))
+        cols[j] = col
+        return dataclasses.replace(s, **{matrix: tuple(cols)})
+
+    def test_built_slice_passes(self, fig8):
+        _check_slice(fig8)
+
+    def test_flipped_d_out_sign(self, fig8):
+        _, t = self._entry(fig8)
+        col = dict(fig8.d_out[t])
+        u = next(iter(col))
+        col[u] = -col[u]
+        with pytest.raises(ConsistencyError, match=r"d_out \. d_in != 0"):
+            _check_slice(self._with_column(fig8, "d_out", t, col))
+
+    def test_deleted_d_in_entry(self, fig8):
+        j, t = self._entry(fig8)
+        col = dict(fig8.d_in[j])
+        del col[t]
+        with pytest.raises(ConsistencyError, match=r"d_out \. d_in != 0"):
+            _check_slice(self._with_column(fig8, "d_in", j, col))
+
+    @pytest.mark.parametrize("matrix", ["d_in", "d_out"])
+    def test_entry_two(self, fig8, matrix):
+        j, t = self._entry(fig8)
+        if matrix == "d_out":
+            j, t = t, next(iter(fig8.d_out[t]))
+        col = dict(getattr(fig8, matrix)[j])
+        col[t] = 2
+        with pytest.raises(ConsistencyError, match="non-unit"):
+            _check_slice(self._with_column(fig8, matrix, j, col))
+
+    def test_entry_moved_within_its_grading(self, fig8):
+        j, t = self._entry(fig8)
+        q0 = fig8.gradings[0]
+        col = dict(fig8.d_in[j])
+        t2 = next(i for i, q in enumerate(q0)
+                  if q == q0[t] and i not in col and fig8.d_out[i] != fig8.d_out[t])
+        col[t2] = col.pop(t)
+        with pytest.raises(ConsistencyError, match=r"d_out \. d_in != 0"):
+            _check_slice(self._with_column(fig8, "d_in", j, col))
+
+    def test_entry_moved_to_an_unfiltered_grading(self, fig8):
+        j, t = self._entry(fig8)
+        q0 = fig8.gradings[0]
+        src_q = fig8.gradings[-1][j]
+        col = dict(fig8.d_in[j])
+        t2 = next(i for i, q in enumerate(q0) if q - src_q not in (0, 4) and i not in col)
+        col[t2] = col.pop(t)
+        with pytest.raises(ConsistencyError, match="not filtered"):
+            _check_slice(self._with_column(fig8, "d_in", j, col))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import slicebound.notation
 from slicebound import (
     BraidWord,
     ParseError,
@@ -112,6 +113,16 @@ class TestParsePd:
 
 
 class TestBraidClosure:
+    def test_builds_each_crossing_once(self, calls):
+        made = calls(slicebound.notation, "Crossing")
+        letters = 0
+        for seed in range(20):
+            w = random_braid(4, 12, seed)
+            d = braid_closure(w)
+            letters += len(w.letters)
+            assert [(c.edges, c.sign) for c in d.crossings] == made[len(made) - len(w.letters):]
+        assert letters and len(made) == letters
+
     def test_trefoil(self):
         d = braid_closure(BraidWord(2, (1, 1, 1)))
         assert len(d.crossings) == 3
