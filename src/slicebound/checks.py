@@ -14,7 +14,7 @@ from typing import Optional
 
 from .bounds import bound_Delta, bound_U, bounds_report, classic_bennequin, genus_bound_knot, genus_bound_link
 from .diagram import ConsistencyError, ValidationError, mirror, validate
-from .lee_oracle import CrossingLimitError, s_invariant
+from .lee_oracle import CrossingLimitError, build_slice, s_invariant
 from .notation import ParseError, braid_closure, parse_pd, random_braids
 from .seifert import aux_graph, betti1_components
 
@@ -53,7 +53,7 @@ def run_table(rows, oracle: bool, max_crossings: int):
             out["s_lower"], out["s_upper"] = u - 2 * delta, u
             if oracle:
                 with suppress(CrossingLimitError):  # a refused row leaves s_oracle blank
-                    out["s_oracle"] = s_oracle = s_invariant(d, max_crossings)
+                    out["s_oracle"] = s_oracle = s_invariant(d, build_slice(d, max_crossings))
         except (ParseError, ValidationError, ConsistencyError) as exc:
             out["status"], out["detail"] = "ERROR", str(exc)
             results.append(out)
@@ -174,6 +174,6 @@ def run_fuzz(
             summary.record("link_reduction", genus_bound_link(d) == gk, context)
             if oracle_limit is not None:
                 with suppress(CrossingLimitError):  # a refused case skips the sandwich
-                    s = s_invariant(d, oracle_limit)
+                    s = s_invariant(d, build_slice(d, oracle_limit))
                     summary.record("sandwich", u - 2 * delta <= s <= u, context)
     return summary

@@ -67,10 +67,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         payload["s_oracle"] = None
         if d.is_connected and d.is_knot:
             try:
-                payload["s_oracle"] = s_invariant(d, args.max_crossings)
-            except CrossingLimitError:
-                n = len(d.crossings)
-                print(f"oracle skipped: {n} crossings exceeds --max-crossings={args.max_crossings}", file=sys.stderr)
+                payload["s_oracle"] = s_invariant(d, build_slice(d, args.max_crossings))
+            except CrossingLimitError as exc:
+                print(f"oracle skipped: {exc}", file=sys.stderr)
     if args.csv:
         # one row: the report's fields in JSON order, flags inlined, s_oracle last
         flat = {k: v for k, v in payload.items() if k not in ("flags", "s_oracle")}
@@ -84,9 +83,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     d, _ = _load_input(args.pd, args.braid)
     slice_ = build_slice(d, args.max_crossings)
-    profile = filtration_profile(d, slice_=slice_)
+    profile = filtration_profile(d, slice_)
     j2, j1 = profile_jumps(profile)
-    s = s_invariant(d, slice_=slice_)
+    s = s_invariant(d, slice_)
     if s != j2 + 1 or s != j1 - 1:
         raise ConsistencyError(f"s = {s} disagrees with filtration jumps ({j2}, {j1})")
     payload = {

@@ -161,6 +161,11 @@ class Diagram:
         return tuple(sorted(seen))
 
     @cached_property
+    def edge_index(self) -> dict[int, int]:
+        """Position of each edge id in ``edge_ids``: its union-find element."""
+        return {e: i for i, e in enumerate(self.edge_ids)}
+
+    @cached_property
     def successor(self) -> dict[int, int]:
         """Next edge along each oriented strand (free loops map to themselves)."""
         succ: dict[int, int] = {e: e for e in self.free_loops}
@@ -188,9 +193,8 @@ class Diagram:
     @cached_property
     def is_connected(self) -> bool:
         """True when the underlying 4-valent picture is a single piece."""
-        ids = self.edge_ids
-        index = {e: i for i, e in enumerate(ids)}
-        uf = UnionFind(len(ids))
+        index = self.edge_index
+        uf = UnionFind(len(index))
         for c in self.crossings:
             for e in c.edges[1:]:
                 uf.union(index[c.edges[0]], index[e])
@@ -208,7 +212,7 @@ class Diagram:
         into {a,b},{c,d}.  Free loops are circles of their own.
         """
         ids = self.edge_ids
-        index = {e: i for i, e in enumerate(ids)}
+        index = self.edge_index
         uf = UnionFind(len(ids))
         for i, c in enumerate(self.crossings):
             a, b, cc, dd = c.edges

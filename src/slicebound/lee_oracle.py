@@ -35,11 +35,16 @@ of its reduction over the rationals, which is equivalent to working over the
 rationals.  Stored pivots are primitive (gcd-stripped); a working column is
 stripped after each non-unit rescale.
 
-Rows of C^0 and C^1 are ordered by ascending quantum grading, ties by
-descending generator index (``_row_order``).  Only the gradings of echelon
-lows and the prefix ranks at grading boundaries are read, and both are
-invariants of the spans, so the tie rule cannot change ``s`` or the profile;
-it governs fill-in, and with it the cost of every elimination.
+Generators of C^0 and C^1 are numbered by filtration row, once, when the
+slice is built: ascending quantum grading, ties by descending (vertex, label)
+index (``_row_order``).  Both differentials, the gradings and the canonical
+cycles are stored in that numbering, which is the one the elimination uses.
+Only the gradings of echelon lows and the prefix ranks at grading boundaries
+are read, and both are invariants of the spans, so the tie rule cannot change
+``s`` or the profile; it governs fill-in, and with it the cost of every
+elimination.  C^-1 keeps (vertex, label) order: its generators number the
+columns of ``d_in``, which the echelon takes in that order, and the column
+order governs fill-in too.
 """
 
 from __future__ import annotations
@@ -67,17 +72,21 @@ class LeeComplexSlice:
     """Filtered chain groups in homological degrees -1, 0, 1.
 
     Generators of degree i are (vertex mask, label mask) pairs with
-    |mask| = n_minus + i; label bit j = 1 labels circle j with v_minus.
+    |mask| = n_minus + i; label bit j = 1 labels circle j with v_minus.  The
+    (vertex, label) index of a generator is ``offsets[i][mask] + label``.
+    C^0 and C^1 are numbered by filtration row instead, and ``positions[i]``
+    maps each (vertex, label) index of degree i in {0, 1} to its row, so
+    ``gradings[0]`` and ``gradings[1]`` ascend.  C^-1 is numbered by
+    (vertex, label) index: it is the order in which the ``d_in`` echelon
+    takes its columns, and a different column order changes fill-in.
     ``d_in`` maps C^-1 -> C^0 and ``d_out`` maps C^0 -> C^1, stored one
-    sparse integer column per source generator keyed by target index.
+    sparse integer column per source generator keyed by target row.
     """
 
     diagram: Diagram
-    n_plus: int
-    n_minus: int
     vertices: dict[int, tuple[int, ...]]  # degree -> sorted vertex masks
-    offsets: dict[int, dict[int, int]]  # degree -> {mask: first generator index}
-    circles: dict[int, SeifertCircles]  # vertex mask -> d.resolution(mask)
+    offsets: dict[int, dict[int, int]]  # degree -> {mask: first (vertex, label) index}
+    positions: dict[int, list[int]]  # degree 0, 1 -> row of each (vertex, label) index
     gradings: dict[int, tuple[int, ...]]  # degree -> q per generator
     d_in: tuple[dict[int, int], ...]
     d_out: tuple[dict[int, int], ...]
@@ -85,20 +94,11 @@ class LeeComplexSlice:
     def dim(self, degree: int) -> int:
         return len(self.gradings[degree])
 
-    def gen_index(self, degree: int, mask: int, label_mask: int) -> int:
-        return self.offsets[degree][mask] + label_mask
-
     @cached_property
-    def din_echelon(self) -> tuple[list[int], list[int], dict[int, dict[int, int]]]:
-        """(pos, order, pivots) of ``d_in`` under the grading row order of C^0.
-
-        ``pos[i]`` is the row position of generator i, ``order`` its inverse,
-        and ``pivots`` the column echelon keyed by low position.  Computed
-        once per slice, on first use.
-        """
-        pos, order = _row_order(self.gradings[0])
-        pivots = _column_echelon(_to_positions(col, pos) for col in self.d_in)
-        return pos, order, pivots
+    def din_echelon(self) -> dict[int, dict[int, int]]:
+        """Column echelon of ``d_in``, {low row: primitive column}; computed
+        once per slice, on first use."""
+        return _column_echelon(self.d_in)
 
 
 def _label_gradings(k: int, shift: int) -> list[int]:
@@ -124,12 +124,12 @@ def _label_table(contrib: list[int]) -> list[int]:
 def _build_matrix(
     d: Diagram,
     sources: tuple[int, ...],
-    tgt_offsets: dict[int, int],
+    tgt_rows: dict[int, list[int]],
     circles: dict[int, SeifertCircles],
 ) -> list[dict[int, int]]:
     """Columns of the cube differential from the vertices ``sources``: one
-    column per (vertex, label), in the order ``build_slice`` numbers them,
-    keyed by target generator index.
+    column per (vertex, label), in (vertex, label) order, keyed by target
+    row; ``tgt_rows[m][label]`` is the row of a target generator.
 
     Each edge map sends a label to one target (merge) or two (split) whose
     label bits are an XOR-linear function of the source label, plus a
@@ -148,18 +148,18 @@ def _build_matrix(
             if m >> i & 1:
                 continue
             m2 = m | 1 << i
-            if m2 not in tgt_offsets:
+            if m2 not in tgt_rows:
                 continue
             sign = -1 if (m & ((1 << i) - 1)).bit_count() % 2 else 1
             cb = circles[m2]
-            tbase = tgt_offsets[m2]
+            rows = tgt_rows[m2]
             a, b, _, _ = d.crossings[i].edges
             contrib = [1 << cb.circle_of_edge[rep] for rep in ca.reps]
             if cb.count == ca.count - 1:
                 # merge: both circles at crossing i map to the merged circle,
                 # so their bits XOR there: v_minus * v_minus = v_plus
                 tab = _label_table(contrib)
-                targets.append([tbase + x for x in tab])
+                targets.append([rows[x] for x in tab])
                 signs.append(sign)
             elif cb.count == ca.count + 1:
                 # split: the circle through crossing i divides into t1 and
@@ -172,8 +172,8 @@ def _build_matrix(
                 t2 = 1 << cb.circle_of_edge[b]
                 contrib[ca.circle_of_edge[a]] = t1
                 tab = _label_table(contrib)
-                targets.append([tbase + (x ^ t2) for x in tab])
-                targets.append([tbase + (x ^ t1) for x in tab])
+                targets.append([rows[x ^ t2] for x in tab])
+                targets.append([rows[x ^ t1] for x in tab])
                 signs += (sign, sign)
             else:
                 raise ConsistencyError(
@@ -217,6 +217,9 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     # the oriented resolution (a degree-0 vertex) is the diagram's cached one
     circles = {d.oriented_mask: d.seifert_circles}
     offsets: dict[int, dict[int, int]] = {}
+    positions: dict[int, list[int]] = {}
+    orders: dict[int, list[int]] = {}  # degree -> (vertex, label) index of each row
+    rows: dict[int, dict[int, list[int]]] = {}  # degree -> {mask: row of each label}
     gradings: dict[int, tuple[int, ...]] = {}
     for degree in (-1, 0, 1):
         # |v| + n_plus - 2 n_minus is the same at every vertex of one degree
@@ -224,32 +227,34 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         tables: dict[int, list[int]] = {}  # circle count -> q of each label
         off: dict[int, int] = {}
         grades: list[int] = []
-        pos = 0
         for m in vertices[degree]:
             if m not in circles:
                 circles[m] = d.resolution(m)
             k = circles[m].count
-            off[m] = pos
-            pos += 1 << k
+            off[m] = len(grades)
             if k not in tables:
                 tables[k] = _label_gradings(k, shift)
             grades += tables[k]
         offsets[degree] = off
-        gradings[degree] = tuple(grades)
+        if degree == -1:  # C^-1 keeps (vertex, label) order
+            gradings[degree] = tuple(grades)
+            continue
+        pos, order = _row_order(grades)
+        positions[degree], orders[degree] = pos, order
+        gradings[degree] = tuple(grades[i] for i in order)
+        rows[degree] = {m: pos[start:start + (1 << circles[m].count)] for m, start in off.items()}
 
-    d_in = _build_matrix(d, vertices[-1], offsets[0], circles)
-    d_out = _build_matrix(d, vertices[0], offsets[1], circles)
+    d_in = _build_matrix(d, vertices[-1], rows[0], circles)
+    d_out = _build_matrix(d, vertices[0], rows[1], circles)
 
     slice_ = LeeComplexSlice(
         diagram=d,
-        n_plus=d.n_plus,
-        n_minus=n_minus,
         vertices=vertices,
         offsets=offsets,
-        circles=circles,
+        positions=positions,
         gradings=gradings,
         d_in=tuple(d_in),
-        d_out=tuple(d_out),
+        d_out=tuple(d_out[i] for i in orders[0]),
     )
     _check_slice(slice_)
     return slice_
@@ -310,16 +315,16 @@ class CanonicalCycle:
 
 def _expand_cycle(s: LeeComplexSlice, classes: tuple[int, ...]) -> CanonicalCycle:
     mask = s.diagram.oriented_mask
-    data = s.circles[mask]
+    k = s.diagram.seifert_circles.count
     base = s.offsets[0][mask]
-    k = data.count
+    rows = s.positions[0][base:base + (1 << k)]
     coeffs: dict[int, int] = {}
-    for label in range(1 << k):
+    for label, row in enumerate(rows):
         sign = 1
         for j in range(k):
             if classes[j] == 1 and not label >> j & 1:
                 sign = -sign
-        coeffs[base + label] = sign
+        coeffs[row] = sign
     min_q = min(s.gradings[0][i] for i in coeffs)
     return CanonicalCycle(coeffs, classes, min_q)
 
@@ -336,18 +341,14 @@ def _boundary(cols: tuple[dict[int, int], ...], vec: dict[int, int]) -> dict[int
     return acc
 
 
-def canonical_cycles(
-    d: Diagram,
-    slice_: Optional[LeeComplexSlice] = None,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-) -> tuple[CanonicalCycle, CanonicalCycle]:
+def canonical_cycles(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> tuple[CanonicalCycle, CanonicalCycle]:
     """The two canonical cycles, labels assigned by the Seifert-graph
     2-coloring (adjacent circles take opposite classes).
 
     Closedness under d_out is verified exactly at construction; which of the
     two is taken as "the" orientation cycle is immaterial for the invariant.
     """
-    s = slice_ if slice_ is not None else build_slice(d, max_crossings)
+    s = slice_ if slice_ is not None else build_slice(d)
     coloring = two_coloring(d.seifert_graph)
 
     s_o = _expand_cycle(s, tuple(coloring))
@@ -365,16 +366,19 @@ def canonical_cycles(
 
 # --- exact sparse column elimination -------------------------------------
 #
-# Columns are dicts keyed by row position under a fixed row order sorted by
-# ascending quantum grading; entries are integers.  The pivot of a column is
-# its minimum position, so one echelon pass answers every "is v in F^j +
-# span" query: reachable lowest positions are exactly the pivot lows.
+# Columns are dicts keyed by filtration row, the numbering ``build_slice``
+# gives C^0 and C^1, sorted by ascending quantum grading; entries are
+# integers.  The pivot of a column is its minimum row, so one echelon pass
+# answers every "is v in F^j + span" query: reachable lowest rows are
+# exactly the pivot lows.
 #
-# Within one grading, rows go by descending generator index.  The grading of
-# each low and the rank of each grading-bounded prefix do not depend on that
-# tie order, but fill-in does: on the 10-crossing word
+# Within one grading, rows go by descending (vertex, label) index.  The
+# grading of each low and the rank of each grading-bounded prefix do not
+# depend on that tie order, but fill-in does: on the 10-crossing word
 # 3: [-1,-2,2,-2,-1,1,-1,-1,1,2] ascending ties give the d_in echelon 31.8
-# nonzeros per pivot, descending ties 6.7, for the same rank 2468.
+# nonzeros per pivot, descending ties 6.7, for the same rank 2468.  The
+# columns of d_in are taken in (vertex, label) order of C^-1, which is why
+# C^-1 is not renumbered.
 #
 # Stored pivots are primitive.  A working column is reduced in place: when
 # the pivot entry divides the column entry it subtracts that multiple of the
@@ -436,7 +440,7 @@ def _column_echelon(columns) -> dict[int, dict[int, int]]:
 def _row_order(q: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """(pos, order) of generators by ascending grading, ties by descending index.
 
-    ``order`` lists generators by row position and ``pos`` is its inverse.
+    ``order`` lists generators by row and ``pos`` is its inverse.
     """
     order = sorted(range(len(q)), key=lambda i: (q[i], -i))
     pos = [0] * len(q)
@@ -445,15 +449,7 @@ def _row_order(q: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return pos, order
 
 
-def _to_positions(col: dict[int, int], pos: list[int]) -> dict[int, int]:
-    return {pos[i]: v for i, v in col.items()}
-
-
-def s_invariant(
-    d: Diagram,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    slice_: Optional[LeeComplexSlice] = None,
-) -> int:
+def s_invariant(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> int:
     """Rasmussen invariant of the knot presented by ``d``: s_min + 1.
 
     s_min is the largest j with s_o in F^j C^0 + im(d_-1), found by reducing
@@ -463,25 +459,19 @@ def s_invariant(
     ``build_slice(d)``; it is used instead of building the slice again, and
     its ``d_in`` echelon is shared with ``filtration_profile``.
     """
-    s = slice_ if slice_ is not None else build_slice(d, max_crossings)
+    s = slice_ if slice_ is not None else build_slice(d)
     s_o, _ = canonical_cycles(d, s)
-    q0 = s.gradings[0]
-    pos, order, pivots = s.din_echelon
-    reduced = _reduce_against(_to_positions(s_o.coefficients, pos), pivots)
+    reduced = _reduce_against(dict(s_o.coefficients), s.din_echelon)
     if not reduced:
         raise ConsistencyError("canonical class vanishes in homology")
-    s_min = q0[order[min(reduced)]]
+    s_min = s.gradings[0][min(reduced)]
     result = s_min + 1
     if result % 2:
         raise ConsistencyError(f"s = {result} is odd; grading bookkeeping is wrong")
     return result
 
 
-def filtration_profile(
-    d: Diagram,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    slice_: Optional[LeeComplexSlice] = None,
-) -> dict[int, int]:
+def filtration_profile(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> dict[int, int]:
     """dim F^j H^0 for each quantum grading j present in C^0, descending.
 
     dim F^j H^0 = dim(F^j  ker d_0) - dim(F^j  im d_-1); the first term is
@@ -492,37 +482,34 @@ def filtration_profile(
     building the slice again, and its ``d_in`` echelon is shared with
     ``s_invariant``.
 
-    The columns of d_0 are walked in reverse row order of C^0 (descending
-    grading, ties by ascending index) and the prefix ranks are read at each
-    grading boundary.  Clearing: a column whose generator i is the low of a
-    reduced d_-1 pivot is counted but not reduced.  That pivot is supported
-    on i and on generators walked before i, all of grading >= q_i, and
-    d_0 d_-1 = 0 (verified by ``_check_slice`` on every slice), so d_0 e_i
-    lies in the span of columns already walked and no prefix rank changes.
+    The columns of d_0 are walked from the top row of C^0 down (descending
+    grading, ties by ascending (vertex, label) index) and the prefix ranks
+    are read at each grading boundary.  Clearing: a column whose row is the
+    low of a reduced d_-1 pivot is counted but not reduced.  That pivot is
+    supported on its low and on rows walked before it, all of grading at
+    least the low's, and d_0 d_-1 = 0 (verified by ``_check_slice`` on every
+    slice), so the column lies in the span of columns already walked and no
+    prefix rank changes.
     """
-    s = slice_ if slice_ is not None else build_slice(d, max_crossings)
+    s = slice_ if slice_ is not None else build_slice(d)
     q0 = s.gradings[0]
-    _, order, in_pivots = s.din_echelon
-    low_grades = [q0[order[low]] for low in in_pivots]
-    cleared = {order[low] for low in in_pivots}
-    pos1, _ = _row_order(s.gradings[1])
+    in_pivots = s.din_echelon
+    low_grades = [q0[low] for low in in_pivots]
 
     levels = sorted(set(q0), reverse=True)
-    walk = order[::-1]
     pivots: dict[int, dict[int, int]] = {}
     rank_ge: dict[int, int] = {}
     cols_ge: dict[int, int] = {}
-    idx = 0
+    row = len(q0)
     for level in levels:
-        while idx < len(walk) and q0[walk[idx]] >= level:
-            j = walk[idx]
-            if j not in cleared:
-                red = _reduce_against(_to_positions(s.d_out[j], pos1), pivots)
+        while row and q0[row - 1] >= level:
+            row -= 1
+            if row not in in_pivots:
+                red = _reduce_against(dict(s.d_out[row]), pivots)
                 if red:
                     pivots[min(red)] = _strip(red)
-            idx += 1
         rank_ge[level] = len(pivots)
-        cols_ge[level] = idx
+        cols_ge[level] = len(q0) - row
 
     profile: dict[int, int] = {}
     prev = 0

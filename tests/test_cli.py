@@ -10,7 +10,7 @@ import pytest
 
 import slicebound.diagram
 import slicebound.notation
-from slicebound import SeifertGraph
+from slicebound import CrossingLimitError, SeifertGraph, braid_closure, build_slice, parse_braid
 from slicebound.cli import bundled_table_path, main, run_fuzz, run_table
 
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -68,6 +68,16 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out)["s_oracle"] is None
         assert "skipped" in err
+
+    def test_oracle_skip_line_is_the_refusal_message(self, capsys):
+        word = "2: [" + ",".join(["1"] * 9) + "]"
+        with pytest.raises(CrossingLimitError) as refusal:
+            build_slice(braid_closure(parse_braid(word)), 8)
+        code, _, err = run_cli(capsys, "bound", "--braid", word, "--oracle", "--max-crossings", "8")
+        assert code == 0
+        assert err == f"oracle skipped: {refusal.value}\n"
+        _, _, err = run_cli(capsys, "oracle", "--braid", word, "--max-crossings", "8")
+        assert err == f"error: {refusal.value}\n"
 
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "bound", "--braid", "3: [1,-2,1,-2]", "--oracle")

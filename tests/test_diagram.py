@@ -68,6 +68,17 @@ class TestValidate:
             validate(bad)
 
 
+class TestEdgeIndex:
+    def test_positions_of_the_sorted_edge_ids_built_once(self):
+        d = braid_closure(BraidWord(3, (1, -2, 1, -2)))
+        assert d.edge_index == {e: i for i, e in enumerate(d.edge_ids)}
+        assert d.is_connected
+        index = d.edge_index
+        d.resolution(0)
+        d.resolution(d.oriented_mask)
+        assert d.edge_index is index
+
+
 class TestMirror:
     def test_trefoil(self):
         m = mirror(TREFOIL)

@@ -5,7 +5,9 @@
 * Only ``lee_oracle`` decides whether the oracle refuses a diagram: no other
   module compares a crossing count (``len(<...>.crossings)``) with a limit
   (a name containing ``limit`` or ``max_crossings``).  Callers that skip
-  refused diagrams catch ``CrossingLimitError``.
+  refused diagrams catch ``CrossingLimitError``.  Within ``lee_oracle``,
+  ``build_slice`` is the only function that takes a limit parameter: the
+  other oracle entries take the slice it built.
 * ``cli`` holds argument parsing, input loading, output formatting and exit
   codes only: no classes, and no functions but the ``cmd_*`` handlers,
   ``build_parser``, ``main`` and its I/O helpers.
@@ -41,8 +43,12 @@ def _is_crossing_count(node):
             and node.args[0].attr == "crossings")
 
 
+def _is_limit_name(name):
+    return "limit" in name.lower() or "max_crossings" in name.lower()
+
+
 def _is_limit(node):
-    return any("limit" in name.lower() or "max_crossings" in name.lower() for name in _names(node))
+    return any(map(_is_limit_name, _names(node)))
 
 
 def test_no_private_name_crosses_a_module_boundary():
@@ -66,6 +72,17 @@ def test_only_the_oracle_compares_crossing_counts_with_limits():
                 if any(map(_is_crossing_count, operands)) and any(map(_is_limit, operands)):
                     found.append(f"{filename}:{node.lineno}")
     assert not found
+
+
+def test_only_build_slice_takes_a_limit():
+    takers = []
+    for node in ast.walk(_trees()["lee_oracle.py"]):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            if any(_is_limit_name(p.arg) for p in params):
+                takers.append(node.name)
+    assert takers == ["build_slice"]
 
 
 def test_cli_defines_only_handlers_and_io():

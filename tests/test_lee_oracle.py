@@ -29,7 +29,7 @@ from slicebound import (
     s_invariant,
     s_window,
 )
-from slicebound.lee_oracle import _check_slice, _column_echelon, _reduce_against, _row_order, _to_positions
+from slicebound.lee_oracle import _check_slice, _column_echelon, _reduce_against, _row_order
 
 TREFOIL = braid_closure(BraidWord(2, (1, 1, 1)))
 UNKNOT0 = braid_closure(BraidWord(1, ()))
@@ -80,7 +80,7 @@ class TestBuildSlice:
         s = build_slice(MIXED)
         for degree in (-1, 0, 1):
             for mask in s.vertices[degree]:
-                assert mask.bit_count() - s.n_minus == degree
+                assert mask.bit_count() - s.diagram.n_minus == degree
 
 
 class TestCanonicalCycles:
@@ -214,7 +214,7 @@ class TestOnePass:
         s = build_slice(d)
         canonical_cycles(d, s)
         assert resolution_masks.count(d.oriented_mask) == 1
-        assert len(resolution_masks) == len(s.circles)
+        assert len(resolution_masks) == sum(map(len, s.vertices.values()))
 
     def test_shared_slice_gives_the_same_results(self):
         for d in (MIXED, FIG8, mirror(TREFOIL)):
@@ -289,25 +289,44 @@ class TestEliminationKernel:
 # --- pivot order and clearing against the ascending-tie, uncleared oracle --
 
 
+def _inverse(pos):
+    """The (vertex, label) index of each row, given the row of each index."""
+    index = [0] * len(pos)
+    for i, p in enumerate(pos):
+        index[p] = i
+    return index
+
+
 def _reference(d, s):
     """(s, profile, rank d_in) with grading ties broken by ascending index
-    and the prefix ranks of every d_out column, none skipped."""
-    q0 = s.gradings[0]
+    and the prefix ranks of every d_out column, none skipped.
+
+    The slice's rows of C^0 and C^1 are first mapped back to (vertex, label)
+    indices through ``positions``; the reference then applies its own order.
+    """
+    pos0, pos1 = s.positions[0], s.positions[1]
+    index0, index1 = _inverse(pos0), _inverse(pos1)
+    q0 = [s.gradings[0][p] for p in pos0]
     order = sorted(range(len(q0)), key=lambda i: (q0[i], i))
     pos = [0] * len(q0)
     for p, i in enumerate(order):
         pos[i] = p
-    in_pivots = _column_echelon(_to_positions(col, pos) for col in s.d_in)
+
+    def ascending(col):
+        return {pos[index0[row]]: v for row, v in col.items()}
+
+    in_pivots = _column_echelon(ascending(col) for col in s.d_in)
     s_o, _ = canonical_cycles(d, s)
-    reduced = _reduce_against(_to_positions(s_o.coefficients, pos), in_pivots)
+    reduced = _reduce_against(ascending(s_o.coefficients), in_pivots)
     low_grades = [q0[order[low]] for low in in_pivots]
+    d_out = [{index1[row]: v for row, v in s.d_out[pos0[i]].items()} for i in range(len(q0))]
     profile = {}
     pivots = {}
     cols = sorted(range(len(q0)), key=lambda j: (-q0[j], j))
     idx = 0
     for level in sorted(set(q0), reverse=True):
         while idx < len(cols) and q0[cols[idx]] >= level:
-            red = _reduce_against(dict(s.d_out[cols[idx]]), pivots)
+            red = _reduce_against(dict(d_out[cols[idx]]), pivots)
             if red:
                 pivots[min(red)] = red
             idx += 1
@@ -334,21 +353,22 @@ class TestPivotOrderAndClearing:
     @example(d=mirror(TREFOIL))
     def test_matches_uncleared_ascending_tie_reference(self, d):
         s = build_slice(d)
-        got = (s_invariant(d, slice_=s), filtration_profile(d, slice_=s), len(s.din_echelon[2]))
+        got = (s_invariant(d, slice_=s), filtration_profile(d, slice_=s), len(s.din_echelon))
         assert got == _reference(d, s)
 
         # every cleared d_out column reduces to zero against the columns
-        # walked before it, in the order filtration_profile walks them
+        # walked before it, in the order filtration_profile walks them: from
+        # the top row of C^0 down, descending grading with ties by ascending
+        # (vertex, label) index
         q0 = s.gradings[0]
-        _, order, in_pivots = s.din_echelon
-        walk = order[::-1]
-        assert walk == sorted(range(len(q0)), key=lambda j: (-q0[j], j))
-        cleared = {order[low] for low in in_pivots}
-        pos1, _ = _row_order(s.gradings[1])
+        index0 = _inverse(s.positions[0])
+        by_index = [q0[p] for p in s.positions[0]]
+        walk = range(len(q0) - 1, -1, -1)
+        assert [index0[row] for row in walk] == sorted(range(len(q0)), key=lambda j: (-by_index[j], j))
         pivots = {}
-        for j in walk:
-            red = _reduce_against(_to_positions(s.d_out[j], pos1), pivots)
-            if j in cleared:
+        for row in walk:
+            red = _reduce_against(dict(s.d_out[row]), pivots)
+            if row in s.din_echelon:
                 assert not red
             elif red:
                 pivots[min(red)] = red
@@ -356,7 +376,7 @@ class TestPivotOrderAndClearing:
     def test_tie_order_keeps_din_fill_low(self):
         # a count, not a timing: ascending ties give 31.8 nonzeros per pivot
         d = braid_closure(BraidWord(3, (-1, -2, 2, -2, -1, 1, -1, -1, 1, 2)))
-        pivots = build_slice(d).din_echelon[2]
+        pivots = build_slice(d).din_echelon
         assert len(pivots) == 2468
         assert sum(len(col) for col in pivots.values()) / len(pivots) <= 12
 
@@ -426,6 +446,28 @@ def _reference_build_matrix(d, sources, src_offsets, tgt_offsets, circles):
     return cols
 
 
+def _index_gradings(d, s):
+    """degree -> q of each generator in (vertex, label) order, circles found
+    with ``Diagram.resolution``."""
+    grades = {}
+    for degree, masks in s.vertices.items():
+        counts = [d.resolution(m).count for m in masks]
+        grades[degree] = tuple(
+            _reference_grade(label, k, m, d.n_plus, d.n_minus)
+            for m, k in zip(masks, counts)
+            for label in range(1 << k)
+        )
+    return grades
+
+
+def _at_rows(values, pos):
+    """``values`` listed by (vertex, label) index, re-listed by row."""
+    out = [None] * len(values)
+    for value, p in zip(values, pos):
+        out[p] = value
+    return out
+
+
 def _table_knots():
     with open(slicebound.checks.bundled_table_path(), newline="", encoding="utf-8") as fh:
         return [parse_pd(row["pd"]).diagram for row in csv.DictReader(fh)]
@@ -435,19 +477,16 @@ class TestTableDrivenConstruction:
     @staticmethod
     def _assert_matches_reference(d):
         s = build_slice(d)
-        gradings = {
-            degree: tuple(
-                _reference_grade(label, s.circles[m].count, m, d.n_plus, d.n_minus)
-                for m in s.vertices[degree]
-                for label in range(1 << s.circles[m].count)
-            )
-            for degree in (-1, 0, 1)
-        }
-        assert s.gradings == gradings
-        d_in = _reference_build_matrix(d, s.vertices[-1], s.offsets[-1], s.offsets[0], s.circles)
-        d_out = _reference_build_matrix(d, s.vertices[0], s.offsets[0], s.offsets[1], s.circles)
-        assert list(s.d_in) == d_in
-        assert list(s.d_out) == d_out
+        circles = {m: d.resolution(m) for masks in s.vertices.values() for m in masks}
+        grades = _index_gradings(d, s)
+        pos0, pos1 = s.positions[0], s.positions[1]
+        assert s.gradings[-1] == grades[-1]
+        assert list(s.gradings[0]) == _at_rows(grades[0], pos0)
+        assert list(s.gradings[1]) == _at_rows(grades[1], pos1)
+        d_in = _reference_build_matrix(d, s.vertices[-1], s.offsets[-1], s.offsets[0], circles)
+        d_out = _reference_build_matrix(d, s.vertices[0], s.offsets[0], s.offsets[1], circles)
+        assert list(s.d_in) == [{pos0[t]: v for t, v in col.items()} for col in d_in]
+        assert list(s.d_out) == _at_rows([{pos1[t]: v for t, v in col.items()} for col in d_out], pos0)
 
     @settings(max_examples=60, deadline=None)
     @given(d=_braid_knots())
@@ -462,6 +501,26 @@ class TestTableDrivenConstruction:
         assert len(knots) == 36
         for d in knots:
             self._assert_matches_reference(d)
+
+
+class TestRowNumbering:
+    def test_c0_and_c1_are_numbered_by_filtration_row(self):
+        for d in (MIXED, FIG8, mirror(TREFOIL), _table_knots()[-1]):
+            s = build_slice(d)
+            grades = _index_gradings(d, s)
+            for degree in (0, 1):
+                q = s.gradings[degree]
+                assert list(q) == sorted(q)
+                assert s.positions[degree] == _row_order(grades[degree])[0]
+                assert all(q[p] == g for p, g in zip(s.positions[degree], grades[degree]))
+
+    def test_c_minus_one_is_not_permuted(self):
+        s = build_slice(FIG8)
+        grades = _index_gradings(FIG8, s)[-1]
+        assert list(grades) != sorted(grades)  # so a sorted C^-1 would show
+        assert s.gradings[-1] == grades
+        assert len(s.d_in) == len(grades)
+        assert set(s.positions) == {0, 1}
 
 
 # --- the structural check catches corrupted differentials -----------------
