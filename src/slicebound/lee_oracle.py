@@ -45,6 +45,17 @@ are read, and both are invariants of the spans, so the tie rule cannot change
 elimination.  C^-1 keeps (vertex, label) order: its generators number the
 columns of ``d_in``, which the echelon takes in that order, and the column
 order governs fill-in too.
+
+Clearing: a vector r with d_in . r = 0 whose last nonzero entry is at index j
+writes column j of ``d_in`` as a combination of earlier columns, so the
+echelon would reduce it to zero; skipping it changes no pivot, hence not
+``s``, the profile or rank d_in.  The columns of d_-2 : C^-2 -> C^-1 are such
+relations.  ``_cleared_columns``, called by ``build_slice``, streams the
+columns of d_-2 one degree -2 vertex at a time through the one matrix
+builder, which resolves each such vertex as it reaches it; degree -2 is never
+stored, neither its columns nor its resolutions.  The first relation for each
+new top index is verified exactly (unit entries, d_in . r = 0) before its
+column joins ``LeeComplexSlice.cleared``, which the ``d_in`` echelon skips.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import gcd
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .diagram import ConsistencyError, Diagram, SeifertCircles, validate
 from .seifert import two_coloring
@@ -90,6 +101,7 @@ class LeeComplexSlice:
     gradings: dict[int, tuple[int, ...]]  # degree -> q per generator
     d_in: tuple[dict[int, int], ...]
     d_out: tuple[dict[int, int], ...]
+    cleared: frozenset[int]  # C^-1 indices of d_in columns the echelon skips
 
     def dim(self, degree: int) -> int:
         return len(self.gradings[degree])
@@ -97,8 +109,8 @@ class LeeComplexSlice:
     @cached_property
     def din_echelon(self) -> dict[int, dict[int, int]]:
         """Column echelon of ``d_in``, {low row: primitive column}; computed
-        once per slice, on first use."""
-        return _column_echelon(self.d_in)
+        once per slice, on first use, with the ``cleared`` columns skipped."""
+        return _column_echelon(self.d_in, self.cleared)
 
 
 def _label_gradings(k: int, shift: int) -> list[int]:
@@ -124,12 +136,14 @@ def _label_table(contrib: list[int]) -> list[int]:
 def _build_matrix(
     d: Diagram,
     sources: tuple[int, ...],
-    tgt_rows: dict[int, list[int]],
+    tgt_rows: dict[int, Sequence[int]],
     circles: dict[int, SeifertCircles],
-) -> list[dict[int, int]]:
+) -> Iterator[dict[int, int]]:
     """Columns of the cube differential from the vertices ``sources``: one
-    column per (vertex, label), in (vertex, label) order, keyed by target
-    row; ``tgt_rows[m][label]`` is the row of a target generator.
+    column per (vertex, label), yielded in (vertex, label) order, keyed by
+    target row; ``tgt_rows[m][label]`` is the row of a target generator.
+    ``circles`` holds the resolution of every target vertex; a source vertex
+    missing from it is resolved here and not kept.
 
     Each edge map sends a label to one target (merge) or two (split) whose
     label bits are an XOR-linear function of the source label, plus a
@@ -139,9 +153,8 @@ def _build_matrix(
     crossings land in different target vertices.
     """
     n = len(d.crossings)
-    cols: list[dict[int, int]] = []
     for m in sources:
-        ca = circles[m]
+        ca = circles[m] if m in circles else d.resolution(m)
         targets: list[list[int]] = []
         signs: list[int] = []
         for i in range(n):
@@ -181,17 +194,17 @@ def _build_matrix(
                     "diagram data is not planar"
                 )
         if targets:
-            cols += [dict(zip(keys, signs)) for keys in zip(*targets)]
+            yield from [dict(zip(keys, signs)) for keys in zip(*targets)]
         else:
-            cols += [{} for _ in range(1 << ca.count)]
-    return cols
+            yield from [{} for _ in range(1 << ca.count)]
 
 
 def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeComplexSlice:
     """Construct bases and both differentials for a connected knot diagram.
 
     Refuses diagrams beyond ``max_crossings`` (the degree-0 vertex count is
-    C(n, n_minus) and every vertex carries 2^circles generators).
+    C(n, n_minus) and every vertex carries 2^circles generators).  The
+    columns of d_-2 are streamed by ``_cleared_columns`` and not kept.
     """
     validate(d)
     if not d.is_connected or not d.is_knot:
@@ -204,7 +217,7 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     n_minus = d.n_minus
 
     vertices: dict[int, tuple[int, ...]] = {}
-    for degree in (-1, 0, 1):
+    for degree in (-2, -1, 0, 1):
         weight = n_minus + degree
         if 0 <= weight <= n:
             masks = sorted(
@@ -213,13 +226,14 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         else:
             masks = []
         vertices[degree] = tuple(masks)
+    relation_sources = vertices.pop(-2)
 
     # the oriented resolution (a degree-0 vertex) is the diagram's cached one
     circles = {d.oriented_mask: d.seifert_circles}
     offsets: dict[int, dict[int, int]] = {}
     positions: dict[int, list[int]] = {}
     orders: dict[int, list[int]] = {}  # degree -> (vertex, label) index of each row
-    rows: dict[int, dict[int, list[int]]] = {}  # degree -> {mask: row of each label}
+    rows: dict[int, dict[int, Sequence[int]]] = {}  # degree -> {mask: row of each label}
     gradings: dict[int, tuple[int, ...]] = {}
     for degree in (-1, 0, 1):
         # |v| + n_plus - 2 n_minus is the same at every vertex of one degree
@@ -238,14 +252,16 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         offsets[degree] = off
         if degree == -1:  # C^-1 keeps (vertex, label) order
             gradings[degree] = tuple(grades)
+            rows[degree] = {m: range(start, start + (1 << circles[m].count)) for m, start in off.items()}
             continue
         pos, order = _row_order(grades)
         positions[degree], orders[degree] = pos, order
         gradings[degree] = tuple(grades[i] for i in order)
         rows[degree] = {m: pos[start:start + (1 << circles[m].count)] for m, start in off.items()}
 
-    d_in = _build_matrix(d, vertices[-1], rows[0], circles)
-    d_out = _build_matrix(d, vertices[0], rows[1], circles)
+    d_in = tuple(_build_matrix(d, vertices[-1], rows[0], circles))
+    cleared = _cleared_columns(d, d_in, relation_sources, rows[-1], circles)
+    d_out = list(_build_matrix(d, vertices[0], rows[1], circles))
 
     slice_ = LeeComplexSlice(
         diagram=d,
@@ -253,11 +269,70 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         offsets=offsets,
         positions=positions,
         gradings=gradings,
-        d_in=tuple(d_in),
+        d_in=d_in,
         d_out=tuple(d_out[i] for i in orders[0]),
+        cleared=cleared,
     )
     _check_slice(slice_)
     return slice_
+
+
+def _cleared_columns(
+    d: Diagram,
+    d_in: tuple[dict[int, int], ...],
+    sources: tuple[int, ...],
+    rows: dict[int, Sequence[int]],
+    circles: dict[int, SeifertCircles],
+) -> frozenset[int]:
+    """The C^-1 indices of ``d_in`` columns that a verified relation proves
+    redundant (clearing).
+
+    A relation r with d_in . r = 0 whose top index is j = max(r) writes
+    column j as a combination of the columns before it, so the echelon, which
+    takes the columns in index order, would reduce column j to zero; skipping
+    it changes no pivot.  The columns of d_-2 from the vertices ``sources``
+    are such relations; ``rows`` maps each C^-1 vertex to its (vertex, label)
+    indices.  The first relation for each new top index is verified exactly
+    before j is kept: every entry must be +-1, and d_in . r = 0 holds when the
+    sorted targets of the +1 and -1 terms agree, as in ``_check_slice``.
+    That test also needs the entries of ``d_in`` to be +-1, which
+    ``_check_slice`` verifies before ``build_slice`` returns the slice.  The
+    targets are read straight from ``d_in``: a relation touches few columns,
+    and each column is touched by about one relation.
+
+    Every top index of a vertex w lies in the block of its highest target
+    vertex, w plus the highest crossing not in w, because C^-1 numbers its
+    vertices in ascending mask order.  A vertex whose top block is already
+    all cleared can add nothing, so it is neither resolved nor built.
+    """
+    full = (1 << len(d.crossings)) - 1
+    cleared: set[int] = set()
+    filled = dict.fromkeys(rows, 0)  # C^-1 vertex -> cleared indices in its block
+    for w in sources:
+        top = w | 1 << ((full & ~w).bit_length() - 1)
+        if filled[top] == len(rows[top]):
+            continue
+        for r in _build_matrix(d, (w,), rows, circles):
+            j = max(r)
+            if j in cleared:
+                continue
+            if not set(r.values()) <= {1, -1}:
+                raise ConsistencyError(f"clearing relation has a non-unit entry: {sorted(set(r.values()) - {1, -1})}")
+            up: list[int] = []
+            down: list[int] = []
+            for t, c in r.items():
+                for u, e in d_in[t].items():
+                    if c == e:
+                        up.append(u)
+                    else:
+                        down.append(u)
+            up.sort()
+            down.sort()
+            if up != down:
+                raise ConsistencyError("clearing relation: d_in . d_-2 != 0")
+            cleared.add(j)
+            filled[top] += 1
+    return frozenset(cleared)
 
 
 def _check_slice(s: LeeComplexSlice) -> None:
@@ -427,10 +502,16 @@ def _reduce_against(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> d
     return col
 
 
-def _column_echelon(columns) -> dict[int, dict[int, int]]:
-    """{low: primitive column} for the span of ``columns`` (left unchanged)."""
+def _column_echelon(columns, skip: frozenset[int] = frozenset()) -> dict[int, dict[int, int]]:
+    """{low: primitive column} for the span of ``columns`` (left unchanged).
+
+    Each column whose index is in ``skip`` must lie in the span of the
+    columns before it; it is not reduced, which changes no pivot.
+    """
     pivots: dict[int, dict[int, int]] = {}
-    for col in columns:
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
         red = _reduce_against(dict(col), pivots)
         if red:
             pivots[min(red)] = _strip(red)

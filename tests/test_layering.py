@@ -12,7 +12,8 @@
   codes only: no classes, and no functions but the ``cmd_*`` handlers,
   ``build_parser``, ``main`` and its I/O helpers.
 * ``lee_oracle`` defines one matrix builder, which ``build_slice`` calls for
-  both differentials, and ``build_slice`` runs ``_check_slice`` on every
+  both differentials and ``_cleared_columns``, called by ``build_slice``,
+  for the d_-2 relations; ``build_slice`` runs ``_check_slice`` on every
   slice it returns.  ``_check_slice`` and ``_column_echelon`` stay
   module-level functions: the benchmark traces them by name.
 """
@@ -104,4 +105,6 @@ def test_the_oracle_builds_both_differentials_with_one_builder_and_checks_them()
     assert len(builders) == 1
     called = _called_names(functions["build_slice"])
     assert called.count(builders[0]) == 2
+    assert "_cleared_columns" in called
+    assert _called_names(functions["_cleared_columns"]).count(builders[0]) == 1
     assert "_check_slice" in called

@@ -3,7 +3,8 @@
 import csv
 import dataclasses
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,13 +24,21 @@ from slicebound import (
     diagram_from_pd,
     filtration_profile,
     mirror,
+    parse_braid,
     parse_pd,
     profile_jumps,
     random_braid,
     s_invariant,
     s_window,
 )
-from slicebound.lee_oracle import _check_slice, _column_echelon, _reduce_against, _row_order
+from slicebound.lee_oracle import (
+    _build_matrix,
+    _check_slice,
+    _column_echelon,
+    _reduce_against,
+    _row_order,
+    _strip,
+)
 
 TREFOIL = braid_closure(BraidWord(2, (1, 1, 1)))
 UNKNOT0 = braid_closure(BraidWord(1, ()))
@@ -214,7 +223,11 @@ class TestOnePass:
         s = build_slice(d)
         canonical_cycles(d, s)
         assert resolution_masks.count(d.oriented_mask) == 1
-        assert len(resolution_masks) == sum(map(len, s.vertices.values()))
+        # every vertex of degrees -1, 0 and 1, and the one degree -2 vertex,
+        # which the clearing resolves for its d_-2 relations, each once
+        assert comb(len(d.crossings), d.n_minus - 2) == 1
+        assert len(resolution_masks) == sum(map(len, s.vertices.values())) + 1
+        assert len(set(resolution_masks)) == len(resolution_masks)
 
     def test_shared_slice_gives_the_same_results(self):
         for d in (MIXED, FIG8, mirror(TREFOIL)):
@@ -379,6 +392,66 @@ class TestPivotOrderAndClearing:
         pivots = build_slice(d).din_echelon
         assert len(pivots) == 2468
         assert sum(len(col) for col in pivots.values()) / len(pivots) <= 12
+
+
+# --- clearing against the full echelon ------------------------------------
+
+ORACLE_MID_WORDS = (
+    "3: [-1,-2,2,-2,-1,1,-1,-1,1,2]",
+    "2: [1,1,-1,-1,1,1,-1,1,-1]",
+    "2: [-1,-1,1,-1,-1,1,1,-1,1]",
+    "4: [-3,3,-2,3,3,-3,-1,-2,2]",
+    "4: [-2,3,3,1,-2,2,2,-3,-2]",
+)
+
+
+def _zero_columns(columns):
+    """The indices of the columns that the echelon, nothing skipped, reduces
+    to zero."""
+    pivots, zero = {}, set()
+    for j, col in enumerate(columns):
+        red = _reduce_against(dict(col), pivots)
+        if red:
+            pivots[min(red)] = _strip(red)
+        else:
+            zero.add(j)
+    return zero
+
+
+class TestClearing:
+    @staticmethod
+    def _assert_clearing_is_exact(d):
+        s = build_slice(d)
+        assert s.din_echelon == _column_echelon(s.d_in)
+        assert s.cleared <= _zero_columns(s.d_in)
+        # no d_-2 vertex skipped as already covered could have added an index
+        sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
+        circles = {m: d.resolution(m) for m in s.vertices[-1]}
+        rows = {m: range(off, off + (1 << circles[m].count)) for m, off in s.offsets[-1].items()}
+        assert s.cleared == {max(r) for r in _build_matrix(d, sources, rows, circles)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=_braid_knots())
+    @example(d=MIXED)
+    @example(d=FIG8)
+    @example(d=mirror(TREFOIL))
+    def test_braid_knots(self, d):
+        self._assert_clearing_is_exact(d)
+
+    def test_table_knots(self):
+        for d in _table_knots():
+            self._assert_clearing_is_exact(d)
+
+    @pytest.mark.parametrize("word", ORACLE_MID_WORDS)
+    def test_oracle_mid_knots(self, word):
+        self._assert_clearing_is_exact(braid_closure(parse_braid(word)))
+
+    def test_cleared_and_reduced_counts(self, calls):
+        # a count, not a timing: without clearing all 5292 columns are reduced
+        s = build_slice(braid_closure(parse_braid(ORACLE_MID_WORDS[0])))
+        reduced = calls(slicebound.lee_oracle, "_reduce_against")
+        assert len(s.din_echelon) == 2468
+        assert (s.dim(-1), len(s.cleared), len(reduced)) == (5292, 2264, 3028)
 
 
 # --- table-driven cube construction against the accumulate-style builder ---
@@ -594,3 +667,42 @@ class TestCheckSliceMutations:
         col[t2] = col.pop(t)
         with pytest.raises(ConsistencyError, match="not filtered"):
             _check_slice(self._with_column(fig8, "d_in", j, col))
+
+
+class TestClearingMutations:
+    """A corrupted d_-2 relation raises in ``build_slice``, and the message
+    names the clearing check."""
+
+    @staticmethod
+    def _build_with_first_relation(monkeypatch, corrupt):
+        build = slicebound.lee_oracle._build_matrix
+
+        def building(d, sources, *args):
+            cols = build(d, sources, *args)
+            if sources and sources[0].bit_count() == d.n_minus - 2:
+                first = dict(next(cols))
+                corrupt(first)
+                cols = chain([first], cols)
+            return cols
+
+        monkeypatch.setattr(slicebound.lee_oracle, "_build_matrix", building)
+        return build_slice(Diagram(FIG8.crossings))
+
+    def test_intact_relations_pass(self, monkeypatch):
+        s = self._build_with_first_relation(monkeypatch, lambda col: None)
+        assert s.cleared
+
+    def test_flipped_sign(self, monkeypatch):
+        def flip(col):
+            t = min(col)
+            col[t] = -col[t]
+
+        with pytest.raises(ConsistencyError, match=r"clearing relation: d_in \. d_-2 != 0"):
+            self._build_with_first_relation(monkeypatch, flip)
+
+    def test_entry_two(self, monkeypatch):
+        def double(col):
+            col[min(col)] *= 2
+
+        with pytest.raises(ConsistencyError, match="clearing relation has a non-unit entry"):
+            self._build_with_first_relation(monkeypatch, double)
