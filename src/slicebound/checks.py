@@ -25,8 +25,12 @@ def bundled_table_path() -> str:
     return str(files("slicebound").joinpath("data/knots.csv"))
 
 
-def run_table(rows, oracle: bool, max_crossings: int):
-    """Evaluate knot-table rows; one result dict per input row, input order."""
+def run_table(rows, oracle_limit: Optional[int]):
+    """Evaluate knot-table rows; one result dict per input row, input order.
+
+    The window and the tightness decision are ``bounds_report``'s; the
+    oracle runs at ``oracle_limit`` crossings (None disables it).
+    """
     results = []
     for row in rows:
         name = (row.get("name") or "").strip()
@@ -43,17 +47,15 @@ def run_table(rows, oracle: bool, max_crossings: int):
                     raise ValidationError(f"known_s = {raw_known!r} is not an integer") from None
                 if known_s % 2:
                     raise ValidationError(f"known_s = {known_s} is odd; s is an even integer")
-            pd_field = (row.get("pd") or "").strip()
-            d = parse_pd(pd_field).diagram
-            validate(d)
+            d = parse_pd((row.get("pd") or "").strip()).diagram
             if not d.is_knot or not d.is_connected:
                 raise ValidationError(f"table entries must be knots; got {d.components} components")
-            u, delta = bound_U(d), bound_Delta(d)
-            out["U"], out["Delta"] = u, delta
-            out["s_lower"], out["s_upper"] = u - 2 * delta, u
-            if oracle:
+            report = bounds_report(d)
+            lo, hi = report.s_lower, report.s_upper
+            out["U"], out["Delta"], out["s_lower"], out["s_upper"] = report.U, report.Delta, lo, hi
+            if oracle_limit is not None:
                 with suppress(CrossingLimitError):  # a refused row leaves s_oracle blank
-                    out["s_oracle"] = s_oracle = s_invariant(d, build_slice(d, max_crossings))
+                    out["s_oracle"] = s_oracle = s_invariant(d, build_slice(d, oracle_limit))
         except (ParseError, ValidationError, ConsistencyError) as exc:
             out["status"], out["detail"] = "ERROR", str(exc)
             results.append(out)
@@ -62,13 +64,13 @@ def run_table(rows, oracle: bool, max_crossings: int):
             out["known_s"] = known_s
 
         status, detail = "SANDWICH_OK", ""
-        if s_oracle is not None and not (u - 2 * delta <= s_oracle <= u):
-            status, detail = "MISMATCH", f"sandwich_violation: s={s_oracle} outside [{u - 2 * delta}, {u}]"
+        if s_oracle is not None and not (lo <= s_oracle <= hi):
+            status, detail = "MISMATCH", f"sandwich_violation: s={s_oracle} outside [{lo}, {hi}]"
         elif s_oracle is not None and known_s is not None and s_oracle != known_s:
             status, detail = "MISMATCH", f"oracle_vs_known: oracle={s_oracle} known={known_s}"
-        elif known_s is not None and not (u - 2 * delta <= known_s <= u):
-            status, detail = "MISMATCH", f"known_outside_window: known={known_s} window=[{u - 2 * delta}, {u}]"
-        elif delta == 0:
+        elif known_s is not None and not (lo <= known_s <= hi):
+            status, detail = "MISMATCH", f"known_outside_window: known={known_s} window=[{lo}, {hi}]"
+        elif report.s_exact is not None:
             status = "TIGHT"
         out["status"], out["detail"] = status, detail
         results.append(out)

@@ -103,7 +103,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     path = args.infile or bundled_table_path()
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    results = run_table(rows, oracle=args.oracle, max_crossings=args.max_crossings)
+    results = run_table(rows, args.max_crossings if args.oracle else None)
     text = json.dumps(results, indent=2) if args.json else _csv_text(TABLE_COLUMNS, results)
     _write_out(text, args.out)
     bad = [r for r in results if r["status"] in ("MISMATCH", "ERROR")]

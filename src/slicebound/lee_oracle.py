@@ -54,8 +54,9 @@ relations.  ``_cleared_columns``, called by ``build_slice``, streams the
 columns of d_-2 one degree -2 vertex at a time through the one matrix
 builder, which resolves each such vertex as it reaches it; degree -2 is never
 stored, neither its columns nor its resolutions.  The first relation for each
-new top index is verified exactly (unit entries, d_in . r = 0) before its
-column joins ``LeeComplexSlice.cleared``, which the ``d_in`` echelon skips.
+new top index is verified exactly (unit entries, then d_in . r = 0 by
+``_composes_to_zero``) before its column joins ``LeeComplexSlice.cleared``,
+which the ``d_in`` echelon skips.
 """
 
 from __future__ import annotations
@@ -293,12 +294,12 @@ def _cleared_columns(
     it changes no pivot.  The columns of d_-2 from the vertices ``sources``
     are such relations; ``rows`` maps each C^-1 vertex to its (vertex, label)
     indices.  The first relation for each new top index is verified exactly
-    before j is kept: every entry must be +-1, and d_in . r = 0 holds when the
-    sorted targets of the +1 and -1 terms agree, as in ``_check_slice``.
-    That test also needs the entries of ``d_in`` to be +-1, which
-    ``_check_slice`` verifies before ``build_slice`` returns the slice.  The
-    targets are read straight from ``d_in``: a relation touches few columns,
-    and each column is touched by about one relation.
+    before j is kept: every entry must be +-1, and then
+    ``_composes_to_zero(d_in, r)`` must hold.  That test also needs the
+    entries of ``d_in`` to be +-1, which ``_check_slice`` verifies before
+    ``build_slice`` returns the slice.  The targets are read straight from
+    ``d_in``: a relation touches few columns, and each column is touched by
+    about one relation.
 
     Every top index of a vertex w lies in the block of its highest target
     vertex, w plus the highest crossing not in w, because C^-1 numbers its
@@ -318,21 +319,33 @@ def _cleared_columns(
                 continue
             if not set(r.values()) <= {1, -1}:
                 raise ConsistencyError(f"clearing relation has a non-unit entry: {sorted(set(r.values()) - {1, -1})}")
-            up: list[int] = []
-            down: list[int] = []
-            for t, c in r.items():
-                for u, e in d_in[t].items():
-                    if c == e:
-                        up.append(u)
-                    else:
-                        down.append(u)
-            up.sort()
-            down.sort()
-            if up != down:
+            if not _composes_to_zero(d_in, r):
                 raise ConsistencyError("clearing relation: d_in . d_-2 != 0")
             cleared.add(j)
             filled[top] += 1
     return frozenset(cleared)
+
+
+def _composes_to_zero(outer: Sequence[dict[int, int]], col: dict[int, int]) -> bool:
+    """True when outer . col = 0, for ``outer`` and ``col`` with +-1 entries.
+
+    Every path e_j -> e_t -> e_u contributes the product of a ``col`` entry
+    and an ``outer`` entry, +1 exactly when they are equal, so the composite
+    vanishes when the sorted targets of the +1 terms equal those of the -1
+    terms.  ``_check_slice`` runs the same test with the sign split of each
+    ``d_out`` column precomputed, since there every column is read many times.
+    """
+    up: list[int] = []
+    down: list[int] = []
+    for t, c in col.items():
+        for u, e in outer[t].items():
+            if c == e:
+                up.append(u)
+            else:
+                down.append(u)
+    up.sort()
+    down.sort()
+    return up == down
 
 
 def _check_slice(s: LeeComplexSlice) -> None:
@@ -404,24 +417,14 @@ def _expand_cycle(s: LeeComplexSlice, classes: tuple[int, ...]) -> CanonicalCycl
     return CanonicalCycle(coeffs, classes, min_q)
 
 
-def _boundary(cols: tuple[dict[int, int], ...], vec: dict[int, int]) -> dict[int, int]:
-    acc: dict[int, int] = {}
-    for j, coeff in vec.items():
-        for t, c in cols[j].items():
-            v = acc.get(t, 0) + coeff * c
-            if v:
-                acc[t] = v
-            else:
-                acc.pop(t, None)
-    return acc
-
-
 def canonical_cycles(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> tuple[CanonicalCycle, CanonicalCycle]:
     """The two canonical cycles, labels assigned by the Seifert-graph
     2-coloring (adjacent circles take opposite classes).
 
-    Closedness under d_out is verified exactly at construction; which of the
-    two is taken as "the" orientation cycle is immaterial for the invariant.
+    Closedness under d_out is verified exactly at construction by
+    ``_composes_to_zero``: the cycles' coefficients are +-1, and so are the
+    entries of ``d_out`` (``_check_slice``).  Which of the two is taken as
+    "the" orientation cycle is immaterial for the invariant.
     """
     s = slice_ if slice_ is not None else build_slice(d)
     coloring = two_coloring(d.seifert_graph)
@@ -430,7 +433,7 @@ def canonical_cycles(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> tu
     s_obar = _expand_cycle(s, tuple(1 - c for c in coloring))
     expected_min = -d.seifert_circles.count + d.writhe
     for cycle in (s_o, s_obar):
-        if _boundary(s.d_out, cycle.coefficients):
+        if not _composes_to_zero(s.d_out, cycle.coefficients):
             raise ConsistencyError("canonical cycle is not closed; labeling is wrong")
         if cycle.min_q != expected_min:
             raise ConsistencyError(

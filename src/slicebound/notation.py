@@ -11,7 +11,9 @@ Two text grammars are accepted:
 A PD tuple (a,b,c,d) is read counterclockwise starting at the incoming
 under-strand edge a.  Edge labels along each component are consecutive
 integers wrapping at the component's maximum label; crossing signs are derived
-from that convention, never stored in the text.
+from that convention, never stored in the text.  That label-run rule is the
+only check specific to PD text: the structure of the compiled diagram is
+checked by ``validate``, as for every other diagram.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator
 
-from .diagram import Crossing, Diagram, ValidationError
+from .diagram import Crossing, Diagram, ValidationError, validate
 
 
 class ParseError(ValueError):
@@ -91,12 +94,14 @@ _PD_TUPLE = re.compile(r"X\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]
 
 
 def parse_pd(text: str) -> PdCode:
-    """Parse PD text into a validated PdCode.
+    """Parse PD text into a PdCode whose diagram is compiled and validated.
 
     Raises ParseError for malformed text and ValidationError for codes that
-    are grammatical but not a coherent diagram (label used != 2 times,
-    incoherent strand cycles).  The compiled diagram is the code's cached
-    ``diagram``.
+    are grammatical but not a coherent diagram: ``validate`` rejects labels
+    not used exactly twice and edges not entered and left exactly once, and
+    ``diagram_from_pd`` rejects components that are not consecutive label
+    runs.  The compiled diagram is the code's cached ``diagram``, and later
+    ``validate`` calls on it return at once.
     """
     if not text or not text.strip():
         raise ParseError("empty PD text")
@@ -126,27 +131,22 @@ def pd_text(code: PdCode) -> str:
 
 
 def diagram_from_pd(code: PdCode) -> Diagram:
-    """Compile a PD code into an oriented Diagram, deriving crossing signs.
+    """Compile a PD code into an oriented, validated Diagram, deriving signs.
 
     The under-strand of (a,b,c,d) runs a -> c.  The over-strand direction
     between b and d follows the consecutive-label convention: the smaller
     label precedes when they differ by one, otherwise the passage wraps from
     the component maximum to its minimum.  On 2-edge components both readings
     are grammatical, so locally ambiguous passages are flipped until every
-    edge is entered exactly once; the resulting cycles are then checked to be
-    consecutive runs.  For knot codes the reading is unique; for links where
-    one 2-edge component passes over another component twice, the text cannot
-    distinguish which crossing is which and the flip order (crossing index
-    ascending) decides deterministically.
-    """
-    counts: dict[int, int] = {}
-    for t in code.crossings:
-        for e in t:
-            counts[e] = counts.get(e, 0) + 1
-    for e, n in sorted(counts.items()):
-        if n != 2:
-            raise ValidationError(f"edge label {e} occurs {n} times, expected 2")
+    edge is entered exactly once.  For knot codes the reading is unique; for
+    links where one 2-edge component passes over another component twice,
+    the text cannot distinguish which crossing is which and the flip order
+    (crossing index ascending) decides deterministically.
 
+    The structure (each label on two crossings, each edge entered and left
+    once) is checked by ``validate``; the one PD-specific rule is that every
+    component is a consecutive label run, wrapping at its maximum.
+    """
     unders = [(t[0], t[2]) for t in code.crossings]
     overs = []
     flippable = []
@@ -173,62 +173,28 @@ def diagram_from_pd(code: PdCode) -> Diagram:
         if not changed:
             break
 
-    succ: dict[int, int] = {}
-    entered = {}
-    for tail, head in unders + overs:
-        if tail in succ:
-            raise ValidationError(f"edge {tail} starts two strand passages; incoherent cycles")
-        succ[tail] = head
-        entered[head] = entered.get(head, 0) + 1
-    for e in counts:
-        if entered.get(e, 0) != 1:
-            raise ValidationError(f"edge {e} is entered {entered.get(e, 0)} times; incoherent cycles")
-
-    # Each component must be a consecutive run lo, lo+1, ..., hi, wrapping to lo.
-    seen: set[int] = set()
-    for start in sorted(counts):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        e = succ[start]
-        while e != start:
-            cycle.append(e)
-            seen.add(e)
-            e = succ[e]
-        lo = min(cycle)
-        if cycle[cycle.index(lo):] + cycle[: cycle.index(lo)] != list(range(lo, lo + len(cycle))):
+    # the over-strand runs d -> b exactly at a positive crossing
+    diagram = Diagram(tuple(
+        Crossing(t, 1 if overs[i] == (t[3], t[1]) else -1) for i, t in enumerate(code.crossings)
+    ))
+    validate(diagram)
+    for strand in diagram.strands:
+        if strand != tuple(range(strand[0], strand[0] + len(strand))):
             raise ValidationError(
-                f"component containing edge {lo} is not a consecutive label run; incoherent cycles"
+                f"component containing edge {strand[0]} is not a consecutive label run; incoherent cycles"
             )
-
-    crossings = []
-    for i, t in enumerate(code.crossings):
-        b, d = t[1], t[3]
-        sign = 1 if overs[i] == (d, b) else -1
-        crossings.append(Crossing(t, sign))
-    return Diagram(tuple(crossings))
+    return diagram
 
 
 def pd_code(d: Diagram) -> PdCode:
-    """Export a diagram as a PD code, relabeling edges consecutively.
-
-    Components are numbered in order of their smallest original edge id.
-    Diagrams with free loops have no PD representation and are rejected.
+    """Export a diagram as a PD code, numbering edges consecutively along
+    ``Diagram.strands``: components in order of their smallest original edge
+    id, each from that edge on.  Diagrams with free loops have no PD
+    representation and are rejected.
     """
     if d.free_loops:
         raise ValidationError("crossingless components cannot be expressed as PD text")
-    succ = d.successor
-    label: dict[int, int] = {}
-    next_label = 1
-    for start in d.edge_ids:
-        if start in label:
-            continue
-        e = start
-        while e not in label:
-            label[e] = next_label
-            next_label += 1
-            e = succ[e]
+    label = {e: i for i, e in enumerate(chain.from_iterable(d.strands), 1)}
     return PdCode(tuple(tuple(label[e] for e in c.edges) for c in d.crossings))
 
 

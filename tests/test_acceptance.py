@@ -71,7 +71,7 @@ CORPUS = corpus_1000()
 def test_criterion_1_sandwich_on_bundled_table():
     rows = load_table()
     assert len(rows) == 36
-    results = run_table(rows, oracle=True, max_crossings=12)
+    results = run_table(rows, oracle_limit=12)
     for r in results:
         assert r["status"] in ("TIGHT", "SANDWICH_OK"), (r["name"], r["status"], r["detail"])
         assert r["s_lower"] <= r["s_oracle"] <= r["s_upper"]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import slicebound.bounds
 import slicebound.diagram
 import slicebound.notation
 from slicebound import CrossingLimitError, SeifertGraph, braid_closure, build_slice, parse_braid
@@ -234,9 +235,16 @@ class TestRunFuzzEngine:
 class TestRunTableEngine:
     def test_tolerates_missing_fields(self):
         rows = [{"name": "kink", "pd": "X[1,1,2,2]"}]
-        out = run_table(rows, oracle=False, max_crossings=12)
+        out = run_table(rows, oracle_limit=None)
         assert out[0]["status"] == "TIGHT"
         assert out[0]["known_s"] == ""
+
+    def test_tightness_violation_is_an_error_row(self, monkeypatch):
+        # the figure-eight diagram is alternating, so its Delta must be 0
+        monkeypatch.setattr(slicebound.bounds, "bound_Delta", lambda d: 2)
+        out = run_table([{"name": "4_1", "pd": FIG8_PD}], oracle_limit=None)
+        assert out[0]["status"] == "ERROR"
+        assert out[0]["detail"] == "diagram is alternating but Delta = 2 != 0"
 
 
 class TestPdCompiledOnce:
@@ -254,7 +262,7 @@ class TestPdCompiledOnce:
     def test_each_table_row_compiles_once(self, compiled):
         with open(bundled_table_path(), newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        results = run_table(rows, oracle=False, max_crossings=12)
+        results = run_table(rows, oracle_limit=None)
         assert all(r["status"] in ("TIGHT", "SANDWICH_OK") for r in results)
         assert compiled() == len(rows)
 
@@ -280,7 +288,9 @@ class TestFrozenCorpus:
     def test_table_with_oracle(self, goldens, capsys):
         assert run_cli(capsys, "table", "--oracle") == (0, goldens["table"], "")
 
-    def test_smallest_mid_knot(self, goldens, capsys):
-        knot = min(goldens["mid"], key=lambda k: sum(json.loads(k["oracle_json"])["dims"].values()))
-        assert run_cli(capsys, "bound", "--braid", knot["braid"], "--oracle") == (0, knot["bound_json"], "")
-        assert run_cli(capsys, "oracle", "--braid", knot["braid"]) == (0, knot["oracle_json"], "")
+    def test_mid_knots(self, goldens, capsys):
+        assert len(goldens["mid"]) == 5
+        for knot in goldens["mid"]:
+            bound = run_cli(capsys, "bound", "--braid", knot["braid"], "--oracle")
+            assert bound == (0, knot["bound_json"], ""), knot["key"]
+            assert run_cli(capsys, "oracle", "--braid", knot["braid"]) == (0, knot["oracle_json"], ""), knot["key"]

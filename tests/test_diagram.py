@@ -1,6 +1,11 @@
-"""Diagram model: validation, mirror, and the tightness-class predicates."""
+"""Diagram model: validation, strands, mirror, and the tightness-class predicates."""
+
+import csv
+from itertools import chain
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import slicebound.diagram
 from slicebound import (
@@ -16,9 +21,11 @@ from slicebound import (
     is_positive,
     mirror,
     parse_pd,
+    pd_code,
     random_braid,
     validate,
 )
+from slicebound.checks import bundled_table_path
 
 TREFOIL = braid_closure(BraidWord(2, (1, 1, 1)))
 UNKNOT0 = braid_closure(BraidWord(1, ()))
@@ -66,6 +73,55 @@ class TestValidate:
         bad = Diagram((Crossing((1, 3, 2, 4), 1), Crossing((3, 1, 2, 4), -1)))
         with pytest.raises(ValidationError):
             validate(bad)
+
+
+def _table_knots():
+    with open(bundled_table_path(), newline="", encoding="utf-8") as fh:
+        return [parse_pd(row["pd"]).diagram for row in csv.DictReader(fh)]
+
+
+@st.composite
+def _braid_closures(draw):
+    strands = draw(st.integers(1, 5))
+    if strands == 1:
+        return braid_closure(BraidWord(1, ()))
+    letter = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
+    return braid_closure(BraidWord(strands, tuple(draw(st.lists(letter, max_size=12)))))
+
+
+class TestStrands:
+    @staticmethod
+    def _assert_strands(d):
+        strands = d.strands
+        flat = list(chain.from_iterable(strands))
+        assert sorted(flat) == list(d.edge_ids)  # a partition of the edges
+        assert [s[0] for s in strands] == sorted(s[0] for s in strands)
+        for s in strands:
+            assert s[0] == min(s)
+            assert [d.successor[e] for e in s] == list(s[1:] + s[:1])
+        assert d.components == len(strands)
+        if not d.free_loops:
+            label = {}
+            for c, relabelled in zip(d.crossings, pd_code(d).crossings):
+                label.update(zip(c.edges, relabelled))
+            assert [label[e] for e in flat] == list(range(1, len(flat) + 1))
+
+    @given(d=_braid_closures())
+    def test_braid_closures(self, d):
+        self._assert_strands(d)
+
+    def test_table_knots(self):
+        knots = _table_knots()
+        assert len(knots) == 36
+        for d in knots:
+            self._assert_strands(d)
+            assert d.strands == (tuple(range(1, len(d.edge_ids) + 1)),)  # a PD knot is one label run
+
+    def test_free_loops_are_one_edge_strands(self):
+        d = braid_closure(BraidWord(4, (1, -1)))
+        assert d.free_loops == (3, 4)
+        assert d.strands[2:] == ((3,), (4,))
+        assert d.components == 4
 
 
 class TestEdgeIndex:

@@ -16,6 +16,9 @@
   for the d_-2 relations; ``build_slice`` runs ``_check_slice`` on every
   slice it returns.  ``_check_slice`` and ``_column_echelon`` stay
   module-level functions: the benchmark traces them by name.
+* The strand cycles are walked in one place: ``Diagram.strands`` is the only
+  function that reads the successor map, and the component count, the PD
+  export and the PD label-run rule read ``strands``.
 """
 
 import ast
@@ -108,3 +111,14 @@ def test_the_oracle_builds_both_differentials_with_one_builder_and_checks_them()
     assert "_cleared_columns" in called
     assert _called_names(functions["_cleared_columns"]).count(builders[0]) == 1
     assert "_check_slice" in called
+
+
+def test_only_strands_walks_the_successor_map():
+    readers = []
+    for filename, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and "successor" in (
+                sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+            ):
+                readers.append(f"{filename}:{node.name}")
+    assert readers == ["diagram.py:strands"]

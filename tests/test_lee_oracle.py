@@ -114,6 +114,13 @@ class TestCanonicalCycles:
 
             assert s_o.min_q == d.writhe - oriented_resolution(d).count
 
+    @pytest.mark.parametrize("d", [TREFOIL, FIG8], ids=["trefoil", "figure-eight"])
+    def test_wrong_labeling_is_not_closed(self, d, monkeypatch):
+        # adjacent Seifert circles in one class: neither labeling is a cycle
+        monkeypatch.setattr(slicebound.lee_oracle, "two_coloring", lambda g: [0] * g.node_count)
+        with pytest.raises(ConsistencyError, match="canonical cycle is not closed"):
+            canonical_cycles(d)
+
     def test_closedness_checked_on_random_knots(self):
         checked = 0
         for seed in range(60):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import slicebound.diagram
 import slicebound.notation
 from slicebound import (
     BraidWord,
@@ -17,6 +18,7 @@ from slicebound import (
     pd_code,
     pd_text,
     random_braid,
+    validate,
 )
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -93,6 +95,19 @@ class TestParsePd:
         # edge 1 is entered by two passages; no reading is coherent
         with pytest.raises(ValidationError):
             parse_pd("X[2,4,1,5] X[3,6,4,1] X[5,2,6,3]")
+
+    def test_component_must_be_a_consecutive_label_run(self):
+        # a coherent diagram (validate accepts it) whose one component reads
+        # 1, 3, 2, 4, 5, 6: not a consecutive run
+        with pytest.raises(ValidationError, match="consecutive label run"):
+            parse_pd("X[1,5,3,4] X[2,1,4,6] X[5,2,6,3]")
+
+    def test_parsed_diagram_is_validated_once(self, calls):
+        checks = calls(slicebound.diagram, "_check_structure")
+        d = parse_pd(TREFOIL_PD).diagram
+        validate(d)
+        validate(d)
+        assert len(checks) == 1
 
     def test_clasp_over_two_edge_component_is_deterministic(self):
         # one circle passing twice over a 2-edge circle: both sign readings
