@@ -65,6 +65,7 @@ def s_window(d: Diagram, braid: Optional[BraidWord] = None) -> tuple[int, int, O
     ``exact`` is U when Delta = 0; tightness classes imply Delta = 0 and are
     verified rather than trusted.  Rejects links and split diagrams.
     """
+    validate(d)
     if not d.is_connected:
         raise DisconnectedDiagramError("s window needs a connected diagram")
     if not d.is_knot:
@@ -78,6 +79,7 @@ def s_window(d: Diagram, braid: Optional[BraidWord] = None) -> tuple[int, int, O
 
 def genus_bound_knot(d: Diagram) -> Fraction:
     """Slice-genus lower bound (writhe - #circles + 2 #components(T+) - 1)/2."""
+    validate(d)
     if not d.is_connected:
         raise DisconnectedDiagramError("genus bound needs a connected diagram")
     if not d.is_knot:
@@ -92,6 +94,7 @@ def genus_bound_link(d: Diagram) -> Fraction:
     Uses g*(L) = G(L) + 1/2 - r/2 with G the genus of a connected
     minimal-genus surface; reduces to the knot bound at r = 1.
     """
+    validate(d)
     if not d.is_connected:
         raise DisconnectedDiagramError("genus bound needs a connected diagram")
     g = d.seifert_graph
@@ -101,6 +104,7 @@ def genus_bound_link(d: Diagram) -> Fraction:
 
 def classic_bennequin(d: Diagram) -> Fraction:
     """Slice-Bennequin baseline (writhe - #circles + 1)/2 for comparison."""
+    validate(d)
     if not d.is_connected:
         raise DisconnectedDiagramError("genus bound needs a connected diagram")
     if not d.is_knot:

@@ -1,8 +1,9 @@
-"""The table and fuzz engines behind the ``table`` and ``fuzz`` commands.
+"""The table and fuzz engines behind the ``table`` and ``fuzz`` commands,
+and ``knot_s``, the one way they and ``bound --oracle`` reach the oracle.
 
-Both return plain data for ``cli`` to format.  Whether the oracle refuses a
-diagram is decided in ``lee_oracle`` alone: a refused table row leaves
-``s_oracle`` blank and a refused fuzz case skips the sandwich.
+Both engines return plain data for ``cli`` to format.  Whether the oracle
+refuses a diagram is decided in ``lee_oracle`` alone: a refused table row
+leaves ``s_oracle`` blank and a refused fuzz case skips the sandwich.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from importlib.resources import files
 from typing import Optional
 
 from .bounds import bound_Delta, bound_U, bounds_report, classic_bennequin, genus_bound_knot, genus_bound_link
-from .diagram import ConsistencyError, ValidationError, mirror, validate
+from .diagram import ConsistencyError, Diagram, ValidationError, mirror, validate
 from .lee_oracle import CrossingLimitError, build_slice, s_invariant
-from .notation import ParseError, braid_closure, parse_pd, random_braids
+from .notation import BraidWord, ParseError, braid_closure, is_reduced, parse_pd, random_braids, reduce_braid
 from .seifert import aux_graph, betti1_components
 
 TABLE_COLUMNS = ["name", "U", "Delta", "s_lower", "s_upper", "s_oracle", "known_s", "status", "detail"]
@@ -23,6 +24,21 @@ TABLE_COLUMNS = ["name", "U", "Delta", "s_lower", "s_upper", "s_oracle", "known_
 
 def bundled_table_path() -> str:
     return str(files("slicebound").joinpath("data/knots.csv"))
+
+
+def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
+    """Rasmussen invariant of the knot ``d`` presents, computed on the
+    closure of ``reduce_braid(word)``.
+
+    ``word``, when given, must be the word ``d`` is the closure of.  ``s`` is
+    a knot invariant, so the oracle may run on any diagram of the knot; the
+    reduced closure has at most as many crossings.  When ``word`` is None or
+    already reduced, ``d`` itself is used.  ``limit`` applies to the diagram
+    the oracle runs on: a refusal concerns the reduced closure.
+    """
+    if word is not None and not is_reduced(word):
+        d = braid_closure(reduce_braid(word))
+    return s_invariant(d, build_slice(d, limit))
 
 
 def run_table(rows, oracle_limit: Optional[int]):
@@ -55,7 +71,7 @@ def run_table(rows, oracle_limit: Optional[int]):
             out["U"], out["Delta"], out["s_lower"], out["s_upper"] = report.U, report.Delta, lo, hi
             if oracle_limit is not None:
                 with suppress(CrossingLimitError):  # a refused row leaves s_oracle blank
-                    out["s_oracle"] = s_oracle = s_invariant(d, build_slice(d, oracle_limit))
+                    out["s_oracle"] = s_oracle = knot_s(d, None, oracle_limit)
         except (ParseError, ValidationError, ConsistencyError) as exc:
             out["status"], out["detail"] = "ERROR", str(exc)
             results.append(out)
@@ -130,8 +146,11 @@ def run_fuzz(
 
     Words are drawn with strand counts in [2, strands] and lengths in
     [0, max_length]; all derived data is a pure function of the arguments.
-    The sandwich against the exact oracle runs only for knot closures the
-    oracle accepts at ``oracle_limit`` crossings (None disables it).
+    The sandwich against the exact oracle runs only for knot closures whose
+    reduced word (``knot_s``) the oracle accepts at ``oracle_limit``
+    crossings (None disables it).  When the word reduces and the oracle
+    also accepts the closure as drawn, ``reduced_s`` checks that both
+    diagrams give the same ``s``.
     """
     summary = FuzzSummary(count, strands, max_length, seed, oracle_limit)
     for case, (w, word_seed) in enumerate(random_braids(count, strands, max_length, seed)):
@@ -176,6 +195,8 @@ def run_fuzz(
             summary.record("link_reduction", genus_bound_link(d) == gk, context)
             if oracle_limit is not None:
                 with suppress(CrossingLimitError):  # a refused case skips the sandwich
-                    s = s_invariant(d, build_slice(d, oracle_limit))
+                    s = knot_s(d, w, oracle_limit)
                     summary.record("sandwich", u - 2 * delta <= s <= u, context)
+                    if not is_reduced(w):
+                        summary.record("reduced_s", knot_s(d, None, oracle_limit) == s, context)
     return summary

@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from .bounds import bounds_report, report_json_dict
-from .checks import TABLE_COLUMNS, bundled_table_path, run_fuzz, run_table
+from .checks import TABLE_COLUMNS, bundled_table_path, knot_s, run_fuzz, run_table
 from .diagram import ConsistencyError, Diagram
 from .lee_oracle import DEFAULT_MAX_CROSSINGS, CrossingLimitError, build_slice
 from .lee_oracle import filtration_profile, profile_jumps, s_invariant
@@ -67,7 +67,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         payload["s_oracle"] = None
         if d.is_connected and d.is_knot:
             try:
-                payload["s_oracle"] = s_invariant(d, build_slice(d, args.max_crossings))
+                payload["s_oracle"] = knot_s(d, w, args.max_crossings)
             except CrossingLimitError as exc:
                 print(f"oracle skipped: {exc}", file=sys.stderr)
     if args.csv:

@@ -7,9 +7,11 @@ import pytest
 from slicebound import (
     BraidWord,
     ConsistencyError,
+    Crossing,
     Diagram,
     DisconnectedDiagramError,
     SeifertGraph,
+    ValidationError,
     bound_Delta,
     bound_U,
     bounds_report,
@@ -29,6 +31,11 @@ TREFOIL = braid_closure(BraidWord(2, (1, 1, 1)))
 UNKNOT0 = braid_closure(BraidWord(1, ()))
 MIXED = braid_closure(BraidWord(2, (1, 1, -1)))
 FIG8 = diagram_from_pd(parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"))
+
+
+def malformed():
+    """A fresh diagram whose edges 1-4 each meet one crossing end only."""
+    return Diagram((Crossing((1, 2, 3, 4), 1),))
 
 
 class TestBoundU:
@@ -86,8 +93,24 @@ class TestSWindow:
         with pytest.raises(DisconnectedDiagramError):
             s_window(braid_closure(BraidWord(2, ())))
 
+    def test_validates_first(self):
+        with pytest.raises(ValidationError, match="edge 1"):
+            s_window(malformed())
+
 
 class TestGenusBounds:
+    def test_knot_bound_validates_first(self):
+        with pytest.raises(ValidationError, match="edge 1"):
+            genus_bound_knot(malformed())
+
+    def test_link_bound_validates_first(self):
+        with pytest.raises(ValidationError, match="edge 1"):
+            genus_bound_link(malformed())
+
+    def test_classic_bound_validates_first(self):
+        with pytest.raises(ValidationError, match="edge 1"):
+            classic_bennequin(malformed())
+
     def test_positive_trefoil(self):
         assert genus_bound_knot(TREFOIL) == 1
         assert classic_bennequin(TREFOIL) == 1

@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import slicebound.bounds
+import slicebound.checks
 import slicebound.diagram
 import slicebound.notation
-from slicebound import CrossingLimitError, SeifertGraph, braid_closure, build_slice, parse_braid
+from slicebound import BraidWord, CrossingLimitError, SeifertGraph, braid_closure, build_slice, parse_braid
+from slicebound import random_braids, reduce_braid, s_invariant
+from slicebound.checks import knot_s
 from slicebound.cli import bundled_table_path, main, run_fuzz, run_table
 
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -79,6 +82,18 @@ class TestBoundCommand:
         assert err == f"oracle skipped: {refusal.value}\n"
         _, _, err = run_cli(capsys, "oracle", "--braid", word, "--max-crossings", "8")
         assert err == f"error: {refusal.value}\n"
+
+    def test_oracle_runs_on_the_reduced_word(self, capsys):
+        # 13 crossings as drawn, 8 after reduction; s = -2 by the full oracle
+        word = "4: [-3,-1,1,-3,-2,2,-2,-2,1,3,-2,3,2]"
+        assert len(reduce_braid(parse_braid(word)).letters) == 8
+        code, out, err = run_cli(capsys, "bound", "--braid", word, "--oracle")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["s_oracle"] == -2
+        assert payload["s_lower"] <= -2 <= payload["s_upper"]
+        code, _, err = run_cli(capsys, "oracle", "--braid", word)
+        assert code == 2 and "13 crossings" in err
 
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "bound", "--braid", "3: [1,-2,1,-2]", "--oracle")
@@ -230,6 +245,45 @@ class TestRunFuzzEngine:
         checks = calls(slicebound.diagram, "_check_structure")
         summary = run_fuzz(30, 5, 12, 42)
         assert len(checks) == summary.cases
+
+
+class TestKnotS:
+    def test_equals_the_oracle_on_the_diagram_as_drawn(self):
+        checked = shrunk = 0
+        for w, _ in random_braids(200, 5, 12, 42):
+            d = braid_closure(w)
+            if not (d.is_knot and d.is_connected) or len(d.crossings) > 9:
+                continue
+            assert knot_s(d, w, 9) == s_invariant(d, build_slice(d, 9)), w
+            checked += 1
+            shrunk += reduce_braid(w) != w
+        assert checked >= 30 and shrunk >= checked // 2
+
+    def test_without_a_word_uses_the_diagram(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        d = braid_closure(BraidWord(3, (1, 1, 2, 1)))
+        assert knot_s(d, None, 12) == 2
+        assert built[0][0] is d
+
+    def test_a_reduced_word_uses_the_diagram(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        w = BraidWord(2, (1, 1, 1))
+        d = braid_closure(w)
+        assert knot_s(d, w, 12) == 2
+        assert built[0][0] is d
+
+    def test_the_refusal_concerns_the_reduced_diagram(self):
+        w = BraidWord(3, (1, 1, 1, 1, 1, 2))
+        d = braid_closure(w)
+        assert knot_s(d, w, 5) == 4
+        with pytest.raises(CrossingLimitError, match="5 crossings exceeds the configured limit 4"):
+            knot_s(d, w, 4)
+
+    def test_fuzz_checks_the_reduced_s(self):
+        summary = run_fuzz(200, 5, 12, 42, oracle_limit=9)
+        assert summary.ok
+        assert summary.checked["reduced_s"] >= 30
+        assert "reduced_s" not in run_fuzz(200, 5, 12, 42).checked
 
 
 class TestRunTableEngine:

@@ -16,6 +16,10 @@
   for the d_-2 relations; ``build_slice`` runs ``_check_slice`` on every
   slice it returns.  ``_check_slice`` and ``_column_echelon`` stay
   module-level functions: the benchmark traces them by name.
+* The oracle is reached in two places outside ``lee_oracle``: ``knot_s``,
+  which computes s on the reduced braid word and is the only caller of
+  ``reduce_braid``, and ``cmd_oracle``, which reports the diagram as given
+  and never reduces.  Only these two call ``build_slice`` or ``s_invariant``.
 * The strand cycles are walked in one place: ``Diagram.strands`` is the only
   function that reads the successor map, and the component count, the PD
   export and the PD label-run rule read ``strands``.
@@ -122,3 +126,26 @@ def test_only_strands_walks_the_successor_map():
             ):
                 readers.append(f"{filename}:{node.name}")
     assert readers == ["diagram.py:strands"]
+
+
+def _callers(name, skip=()):
+    """``file:function`` of every function or method, in a module outside
+    ``skip``, whose body calls ``name`` by its bare name."""
+    return [f"{filename}:{node.name}" for filename, tree in _trees().items() if filename not in skip
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and name in _called_names(node)]
+
+
+def test_only_knot_s_reduces_braid_words():
+    assert _callers("reduce_braid") == ["checks.py:knot_s"]
+
+
+def test_the_oracle_command_never_reduces():
+    functions = {node.name: node for node in _trees()["cli.py"].body if isinstance(node, ast.FunctionDef)}
+    called = set(_called_names(functions["cmd_oracle"]))
+    assert not called & {"knot_s", "reduce_braid", "is_reduced"}
+    assert {"build_slice", "s_invariant"} <= called
+
+
+def test_only_knot_s_and_the_oracle_command_run_the_oracle():
+    for entry in ("build_slice", "s_invariant"):
+        assert sorted(_callers(entry, skip={"lee_oracle.py"})) == ["checks.py:knot_s", "cli.py:cmd_oracle"]

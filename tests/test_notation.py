@@ -13,11 +13,14 @@ from slicebound import (
     braid_closure,
     braid_text,
     diagram_from_pd,
+    is_reduced,
     parse_braid,
     parse_pd,
     pd_code,
     pd_text,
     random_braid,
+    random_braids,
+    reduce_braid,
     validate,
 )
 
@@ -183,6 +186,69 @@ class TestBraidClosure:
                 assert [c.sign for c in d2.crossings] == [c.sign for c in d.crossings]
                 knots += 1
         assert knots >= 10
+
+
+class TestReduceBraid:
+    def test_free_reduction(self):
+        assert reduce_braid(BraidWord(3, (1, 2, -2, 1, 1))) == BraidWord(3, (1, 1, 1))
+
+    def test_free_reduction_cascades(self):
+        assert reduce_braid(BraidWord(3, (1, 1, 2, 1, -1, -2, 1))) == BraidWord(3, (1, 1, 1))
+
+    def test_cyclic_reduction(self):
+        assert reduce_braid(BraidWord(3, (-2, 1, 1, 1, 2))) == BraidWord(3, (1, 1, 1))
+
+    def test_destabilises_the_last_strand(self):
+        # sigma_2 once: rotate it to the end and drop it with strand 3
+        assert reduce_braid(BraidWord(3, (1, 1, 2, 1))) == BraidWord(2, (1, 1, 1))
+        assert reduce_braid(BraidWord(3, (1, -2, 1, 1))) == BraidWord(2, (1, 1, 1))
+
+    def test_destabilises_the_first_strand(self):
+        # sigma_1 once, sigma_2 three times: drop strand 1, shift the rest down
+        assert reduce_braid(BraidWord(3, (2, 2, -1, 2))) == BraidWord(2, (1, 1, 1))
+        assert reduce_braid(BraidWord(4, (3, 2, 3, 2, 1, 2))) == BraidWord(3, (1, 2, 1, 2, 1))
+
+    def test_stabilised_unknot_reduces_to_one_strand(self):
+        assert reduce_braid(BraidWord(4, (1, -2, 3))) == BraidWord(1, ())
+        assert reduce_braid(BraidWord(2, (1,))) == BraidWord(1, ())
+
+    def test_empty_words_are_fixed(self):
+        for w in (BraidWord(1, ()), BraidWord(3, ())):
+            assert reduce_braid(w) == w
+            assert is_reduced(w)
+
+    def test_torus_word_is_unchanged(self):
+        w = BraidWord(2, (1,) * 13)
+        assert reduce_braid(w) == w
+        assert is_reduced(w)
+
+    def test_no_far_commutation(self):
+        # 1 and 3 commute, which would expose 3, -3; the moves leave it alone
+        w = BraidWord(4, (1, 2, 3, 1, -3, 2, 1, 2))
+        assert reduce_braid(w) == w
+
+    def test_ends_at_a_fixed_point(self):
+        for w, _ in random_braids(200, 5, 12, 42):
+            once = reduce_braid(w)
+            assert reduce_braid(once) == once
+            assert is_reduced(once)
+            assert is_reduced(w) == (once == w)
+
+    def test_keeps_connected_knots(self):
+        knots = shrunk = 0
+        for w, _ in random_braids(300, 5, 12, 42):
+            d = braid_closure(w)
+            r = reduce_braid(w)
+            assert isinstance(r, BraidWord) and r.strands <= w.strands and len(r.letters) <= len(w.letters)
+            d2 = braid_closure(r)
+            validate(d2)
+            if d.is_knot and d.is_connected:
+                assert d2.is_knot and d2.is_connected
+                knots += 1
+                shrunk += r != w
+            else:
+                assert d2.components == d.components
+        assert knots >= 50 and shrunk >= knots // 2
 
 
 class TestRandomBraid:
