@@ -37,53 +37,31 @@ def bound_Delta(d: Diagram) -> int:
     return g.node_count - component_count(g, -1) - component_count(g, +1) + 1
 
 
-def _tightness_flags(d: Diagram, braid: Optional[BraidWord]) -> dict[str, Optional[bool]]:
-    return {
-        "positive": is_positive(d),
-        "negative": is_negative(d),
-        "alternating": is_alternating(d),
-        "braid_sign_condition": braid_sign_condition(braid) if braid is not None else None,
-    }
-
-
-def _check_tightness(d: Diagram, delta: int, flags: dict[str, Optional[bool]]) -> bool:
-    """True when a tightness class in ``flags`` (from ``_tightness_flags``)
-    applies.  Connected diagrams in such a class must have Delta = 0; a
-    violation is a proved-theorem failure."""
-    fired = any(v for v in flags.values() if v)
-    if fired and d.is_connected and delta != 0:
-        which = [k for k, v in flags.items() if v]
-        raise ConsistencyError(
-            f"diagram is {'/'.join(which)} but Delta = {delta} != 0"
-        )
-    return fired
+def _require_connected(d: Diagram, subject: str, knot_subject: Optional[str] = None) -> None:
+    """Validate ``d``, then reject a split diagram, naming ``subject``, and,
+    when ``knot_subject`` is given, a link, naming ``knot_subject``."""
+    validate(d)
+    if not d.is_connected:
+        raise DisconnectedDiagramError(f"{subject} needs a connected diagram")
+    if knot_subject is not None and not d.is_knot:
+        raise ValueError(f"{knot_subject} is for knots; diagram has {d.components} components")
 
 
 def s_window(d: Diagram, braid: Optional[BraidWord] = None) -> tuple[int, int, Optional[int]]:
     """(U - 2 Delta, U, exact) for a connected knot diagram.
 
     ``exact`` is U when Delta = 0; tightness classes imply Delta = 0 and are
-    verified rather than trusted.  Rejects links and split diagrams.
+    verified rather than trusted.  Rejects links and split diagrams.  The
+    values are ``bounds_report``'s.
     """
-    validate(d)
-    if not d.is_connected:
-        raise DisconnectedDiagramError("s window needs a connected diagram")
-    if not d.is_knot:
-        raise ValueError(f"s window is for knots; diagram has {d.components} components")
-    u = bound_U(d)
-    delta = bound_Delta(d)
-    _check_tightness(d, delta, _tightness_flags(d, braid))
-    exact = u if delta == 0 else None
-    return u - 2 * delta, u, exact
+    _require_connected(d, "s window", "s window")
+    r = bounds_report(d, braid)
+    return r.s_lower, r.s_upper, r.s_exact
 
 
 def genus_bound_knot(d: Diagram) -> Fraction:
     """Slice-genus lower bound (writhe - #circles + 2 #components(T+) - 1)/2."""
-    validate(d)
-    if not d.is_connected:
-        raise DisconnectedDiagramError("genus bound needs a connected diagram")
-    if not d.is_knot:
-        raise ValueError(f"knot genus bound is for knots; diagram has {d.components} components")
+    _require_connected(d, "genus bound", "knot genus bound")
     g = d.seifert_graph
     return Fraction(d.writhe - g.node_count + 2 * component_count(g, +1) - 1, 2)
 
@@ -94,9 +72,7 @@ def genus_bound_link(d: Diagram) -> Fraction:
     Uses g*(L) = G(L) + 1/2 - r/2 with G the genus of a connected
     minimal-genus surface; reduces to the knot bound at r = 1.
     """
-    validate(d)
-    if not d.is_connected:
-        raise DisconnectedDiagramError("genus bound needs a connected diagram")
+    _require_connected(d, "genus bound")
     g = d.seifert_graph
     r = d.components
     return Fraction(d.writhe - g.node_count + 2 * component_count(g, +1) - 2 * r + 1, 2)
@@ -104,11 +80,7 @@ def genus_bound_link(d: Diagram) -> Fraction:
 
 def classic_bennequin(d: Diagram) -> Fraction:
     """Slice-Bennequin baseline (writhe - #circles + 1)/2 for comparison."""
-    validate(d)
-    if not d.is_connected:
-        raise DisconnectedDiagramError("genus bound needs a connected diagram")
-    if not d.is_knot:
-        raise ValueError(f"classic bound is for knots; diagram has {d.components} components")
+    _require_connected(d, "genus bound", "classic bound")
     return Fraction(d.writhe - d.seifert_graph.node_count + 1, 2)
 
 
@@ -141,14 +113,23 @@ def bounds_report(d: Diagram, braid: Optional[BraidWord] = None) -> BoundsReport
     validate(d)
     u = bound_U(d)
     delta = bound_Delta(d)
-    flags = _tightness_flags(d, braid)
+    flags = {
+        "positive": is_positive(d),
+        "negative": is_negative(d),
+        "alternating": is_alternating(d),
+        "braid_sign_condition": braid_sign_condition(braid) if braid is not None else None,
+    }
     connected = d.is_connected
     knot = d.is_knot
 
     s_lower = s_upper = s_exact = None
     genus_new = genus_classic = None
     if connected:
-        _check_tightness(d, delta, flags)
+        # a connected diagram in a tightness class must have Delta = 0; a
+        # violation is a proved-theorem failure
+        which = [k for k, v in flags.items() if v]
+        if which and delta != 0:
+            raise ConsistencyError(f"diagram is {'/'.join(which)} but Delta = {delta} != 0")
         s_lower, s_upper = u - 2 * delta, u
         genus_new = genus_bound_link(d)
         if knot:

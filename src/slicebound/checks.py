@@ -38,7 +38,7 @@ def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
     """
     if word is not None and not is_reduced(word):
         d = braid_closure(reduce_braid(word))
-    return s_invariant(d, build_slice(d, limit))
+    return s_invariant(build_slice(d, limit))
 
 
 def run_table(rows, oracle_limit: Optional[int]):

@@ -83,9 +83,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     d, _ = _load_input(args.pd, args.braid)
     slice_ = build_slice(d, args.max_crossings)
-    profile = filtration_profile(d, slice_)
+    profile = filtration_profile(slice_)
     j2, j1 = profile_jumps(profile)
-    s = s_invariant(d, slice_)
+    s = s_invariant(slice_)
     if s != j2 + 1 or s != j1 - 1:
         raise ConsistencyError(f"s = {s} disagrees with filtration jumps ({j2}, {j1})")
     payload = {

@@ -26,8 +26,9 @@ Unit-entry invariant: every entry of ``d_in`` and ``d_out`` is +1 or -1.  A
 label's terms under one edge map are distinct, and different flipped
 crossings reach different target vertices, so no two terms of a column ever
 meet.  ``_check_slice`` verifies the invariant on every slice and, under it,
-checks d_out . d_in = 0 by comparing the targets of the +1 and -1 terms of
-each composite column.
+checks d_out . d_in = 0 one ``d_in`` column at a time with
+``_composes_to_zero``, which compares the targets of the +1 and -1 terms of
+the composite column.
 
 Coefficients are exact: matrices live over the integers, and every
 elimination step leaves an integer column that is a nonzero rational multiple
@@ -38,7 +39,8 @@ stripped after each non-unit rescale.
 Generators of C^0 and C^1 are numbered by filtration row, once, when the
 slice is built: ascending quantum grading, ties by descending (vertex, label)
 index (``_row_order``).  Both differentials, the gradings and the canonical
-cycles are stored in that numbering, which is the one the elimination uses.
+cycles are stored in that numbering, which is the one the elimination uses;
+``LeeComplexSlice.rows`` maps each generator to its index.
 Only the gradings of echelon lows and the prefix ranks at grading boundaries
 are read, and both are invariants of the spans, so the tie rule cannot change
 ``s`` or the profile; it governs fill-in, and with it the cost of every
@@ -57,6 +59,11 @@ stored, neither its columns nor its resolutions.  The first relation for each
 new top index is verified exactly (unit entries, then d_in . r = 0 by
 ``_composes_to_zero``) before its column joins ``LeeComplexSlice.cleared``,
 which the ``d_in`` echelon skips.
+
+The slice is the one handle for every read: ``build_slice`` is the only entry
+that takes a diagram or a crossing limit, and ``canonical_cycles``,
+``s_invariant`` and ``filtration_profile`` take the slice alone and read its
+diagram from it.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .diagram import ConsistencyError, Diagram, SeifertCircles, validate
 from .seifert import two_coloring
@@ -85,20 +92,19 @@ class LeeComplexSlice:
 
     Generators of degree i are (vertex mask, label mask) pairs with
     |mask| = n_minus + i; label bit j = 1 labels circle j with v_minus.  The
-    (vertex, label) index of a generator is ``offsets[i][mask] + label``.
-    C^0 and C^1 are numbered by filtration row instead, and ``positions[i]``
-    maps each (vertex, label) index of degree i in {0, 1} to its row, so
-    ``gradings[0]`` and ``gradings[1]`` ascend.  C^-1 is numbered by
-    (vertex, label) index: it is the order in which the ``d_in`` echelon
-    takes its columns, and a different column order changes fill-in.
-    ``d_in`` maps C^-1 -> C^0 and ``d_out`` maps C^0 -> C^1, stored one
-    sparse integer column per source generator keyed by target row.
+    index of a generator is ``rows[i][mask][label]``, and ``rows[i]`` lists
+    the vertices of degree i in ascending mask order.  C^0 and C^1 are
+    numbered by filtration row, so ``gradings[0]`` and ``gradings[1]``
+    ascend.  C^-1 is numbered by (vertex, label) order, each vertex's labels
+    one block after the previous vertex's: it is the order in which the
+    ``d_in`` echelon takes its columns, and a different column order changes
+    fill-in.  ``d_in`` maps C^-1 -> C^0 and ``d_out`` maps C^0 -> C^1,
+    stored one sparse integer column per source generator keyed by target
+    row.
     """
 
     diagram: Diagram
-    vertices: dict[int, tuple[int, ...]]  # degree -> sorted vertex masks
-    offsets: dict[int, dict[int, int]]  # degree -> {mask: first (vertex, label) index}
-    positions: dict[int, list[int]]  # degree 0, 1 -> row of each (vertex, label) index
+    rows: dict[int, dict[int, Sequence[int]]]  # degree -> {mask: row of each label}, masks ascending
     gradings: dict[int, tuple[int, ...]]  # degree -> q per generator
     d_in: tuple[dict[int, int], ...]
     d_out: tuple[dict[int, int], ...]
@@ -231,16 +237,13 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
 
     # the oriented resolution (a degree-0 vertex) is the diagram's cached one
     circles = {d.oriented_mask: d.seifert_circles}
-    offsets: dict[int, dict[int, int]] = {}
-    positions: dict[int, list[int]] = {}
-    orders: dict[int, list[int]] = {}  # degree -> (vertex, label) index of each row
     rows: dict[int, dict[int, Sequence[int]]] = {}  # degree -> {mask: row of each label}
     gradings: dict[int, tuple[int, ...]] = {}
     for degree in (-1, 0, 1):
         # |v| + n_plus - 2 n_minus is the same at every vertex of one degree
         shift = degree + d.n_plus - n_minus
         tables: dict[int, list[int]] = {}  # circle count -> q of each label
-        off: dict[int, int] = {}
+        off: dict[int, int] = {}  # mask -> (vertex, label) index of its label 0
         grades: list[int] = []
         for m in vertices[degree]:
             if m not in circles:
@@ -250,28 +253,24 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
             if k not in tables:
                 tables[k] = _label_gradings(k, shift)
             grades += tables[k]
-        offsets[degree] = off
-        if degree == -1:  # C^-1 keeps (vertex, label) order
-            gradings[degree] = tuple(grades)
-            rows[degree] = {m: range(start, start + (1 << circles[m].count)) for m, start in off.items()}
-            continue
-        pos, order = _row_order(grades)
-        positions[degree], orders[degree] = pos, order
+        # C^-1 keeps (vertex, label) order; C^0 and C^1 go by filtration row
+        pos, order = _row_order(grades) if degree >= 0 else (range(len(grades)),) * 2
         gradings[degree] = tuple(grades[i] for i in order)
         rows[degree] = {m: pos[start:start + (1 << circles[m].count)] for m, start in off.items()}
 
     d_in = tuple(_build_matrix(d, vertices[-1], rows[0], circles))
     cleared = _cleared_columns(d, d_in, relation_sources, rows[-1], circles)
-    d_out = list(_build_matrix(d, vertices[0], rows[1], circles))
+    # d_out's columns come in (vertex, label) order; store each at its C^0 row
+    d_out: list[dict[int, int]] = [{}] * len(gradings[0])
+    for row, col in zip(chain.from_iterable(rows[0].values()), _build_matrix(d, vertices[0], rows[1], circles)):
+        d_out[row] = col
 
     slice_ = LeeComplexSlice(
         diagram=d,
-        vertices=vertices,
-        offsets=offsets,
-        positions=positions,
+        rows=rows,
         gradings=gradings,
         d_in=d_in,
-        d_out=tuple(d_out[i] for i in orders[0]),
+        d_out=tuple(d_out),
         cleared=cleared,
     )
     _check_slice(slice_)
@@ -332,8 +331,7 @@ def _composes_to_zero(outer: Sequence[dict[int, int]], col: dict[int, int]) -> b
     Every path e_j -> e_t -> e_u contributes the product of a ``col`` entry
     and an ``outer`` entry, +1 exactly when they are equal, so the composite
     vanishes when the sorted targets of the +1 terms equal those of the -1
-    terms.  ``_check_slice`` runs the same test with the sign split of each
-    ``d_out`` column precomputed, since there every column is read many times.
+    terms.
     """
     up: list[int] = []
     down: list[int] = []
@@ -352,10 +350,8 @@ def _check_slice(s: LeeComplexSlice) -> None:
     """Always-on structural checks: filtered columns and d_out . d_in = 0.
 
     Every entry must be +-1 (Lee's edge maps have unit coefficients and
-    distinct targets).  Then column j of d_out . d_in is a sum of +-1 terms,
-    one per path e_j -> e_t -> e_u, and it is zero exactly when, for every u,
-    as many terms are +1 as -1: when the sorted targets of the +1 terms equal
-    those of the -1 terms.
+    distinct targets), which is what ``_composes_to_zero`` needs to test
+    d_out . d_in = 0 one ``d_in`` column at a time.
     """
     for src_deg, cols in ((-1, s.d_in), (0, s.d_out)):
         src_q = s.gradings[src_deg]
@@ -369,21 +365,8 @@ def _check_slice(s: LeeComplexSlice) -> None:
         entries = set(chain.from_iterable(map(dict.values, cols)))
         if not entries <= {1, -1}:
             raise ConsistencyError(f"differential has a non-unit entry: {sorted(entries - {1, -1})}")
-    plus = [[u for u, c in col.items() if c > 0] for col in s.d_out]
-    minus = [[u for u, c in col.items() if c < 0] for col in s.d_out]
     for col in s.d_in:
-        up: list[int] = []
-        down: list[int] = []
-        for t, c in col.items():
-            if c > 0:
-                up += plus[t]
-                down += minus[t]
-            else:
-                up += minus[t]
-                down += plus[t]
-        up.sort()
-        down.sort()
-        if up != down:
+        if not _composes_to_zero(s.d_out, col):
             raise ConsistencyError("d_out . d_in != 0")
 
 
@@ -402,12 +385,9 @@ class CanonicalCycle:
 
 
 def _expand_cycle(s: LeeComplexSlice, classes: tuple[int, ...]) -> CanonicalCycle:
-    mask = s.diagram.oriented_mask
     k = s.diagram.seifert_circles.count
-    base = s.offsets[0][mask]
-    rows = s.positions[0][base:base + (1 << k)]
     coeffs: dict[int, int] = {}
-    for label, row in enumerate(rows):
+    for label, row in enumerate(s.rows[0][s.diagram.oriented_mask]):
         sign = 1
         for j in range(k):
             if classes[j] == 1 and not label >> j & 1:
@@ -417,7 +397,7 @@ def _expand_cycle(s: LeeComplexSlice, classes: tuple[int, ...]) -> CanonicalCycl
     return CanonicalCycle(coeffs, classes, min_q)
 
 
-def canonical_cycles(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> tuple[CanonicalCycle, CanonicalCycle]:
+def canonical_cycles(s: LeeComplexSlice) -> tuple[CanonicalCycle, CanonicalCycle]:
     """The two canonical cycles, labels assigned by the Seifert-graph
     2-coloring (adjacent circles take opposite classes).
 
@@ -426,7 +406,7 @@ def canonical_cycles(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> tu
     entries of ``d_out`` (``_check_slice``).  Which of the two is taken as
     "the" orientation cycle is immaterial for the invariant.
     """
-    s = slice_ if slice_ is not None else build_slice(d)
+    d = s.diagram
     coloring = two_coloring(d.seifert_graph)
 
     s_o = _expand_cycle(s, tuple(coloring))
@@ -533,18 +513,16 @@ def _row_order(q: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return pos, order
 
 
-def s_invariant(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> int:
-    """Rasmussen invariant of the knot presented by ``d``: s_min + 1.
+def s_invariant(s: LeeComplexSlice) -> int:
+    """Rasmussen invariant of the knot ``s.diagram`` presents: s_min + 1.
 
     s_min is the largest j with s_o in F^j C^0 + im(d_-1), found by reducing
     the canonical cycle against the grading-ordered column echelon of the
     incoming differential and reading the grading of the surviving lowest
-    term.  The result is always even.  ``slice_``, when given, must be
-    ``build_slice(d)``; it is used instead of building the slice again, and
-    its ``d_in`` echelon is shared with ``filtration_profile``.
+    term.  The result is always even.  The slice's ``d_in`` echelon is
+    shared with ``filtration_profile``.
     """
-    s = slice_ if slice_ is not None else build_slice(d)
-    s_o, _ = canonical_cycles(d, s)
+    s_o, _ = canonical_cycles(s)
     reduced = _reduce_against(dict(s_o.coefficients), s.din_echelon)
     if not reduced:
         raise ConsistencyError("canonical class vanishes in homology")
@@ -555,16 +533,14 @@ def s_invariant(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> int:
     return result
 
 
-def filtration_profile(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> dict[int, int]:
+def filtration_profile(s: LeeComplexSlice) -> dict[int, int]:
     """dim F^j H^0 for each quantum grading j present in C^0, descending.
 
     dim F^j H^0 = dim(F^j  ker d_0) - dim(F^j  im d_-1); the first term is
     #generators of grading >= j minus the rank of the columns of d_0 of
     grading >= j, the second counts echelon pivots of d_-1 whose low sits in
     grading >= j.  For a knot the profile steps 0 -> 1 -> 2 as j decreases.
-    ``slice_``, when given, must be ``build_slice(d)``; it is used instead of
-    building the slice again, and its ``d_in`` echelon is shared with
-    ``s_invariant``.
+    The slice's ``d_in`` echelon is shared with ``s_invariant``.
 
     The columns of d_0 are walked from the top row of C^0 down (descending
     grading, ties by ascending (vertex, label) index) and the prefix ranks
@@ -575,7 +551,6 @@ def filtration_profile(d: Diagram, slice_: Optional[LeeComplexSlice] = None) -> 
     slice), so the column lies in the span of columns already walked and no
     prefix rank changes.
     """
-    s = slice_ if slice_ is not None else build_slice(d)
     q0 = s.gradings[0]
     in_pivots = s.din_echelon
     low_grades = [q0[low] for low in in_pivots]

@@ -32,6 +32,7 @@ from slicebound import (
     bound_Delta,
     bound_U,
     braid_closure,
+    build_slice,
     diagram_from_pd,
     is_alternating,
     parse_pd,
@@ -384,7 +385,7 @@ def known_s_value(name: str, d: Diagram) -> int:
         if bound_Delta(d) != 0:
             raise AssertionError(f"{name}: alternating diagram with Delta != 0")
         return bound_U(d)
-    s = s_invariant(d)
+    s = s_invariant(build_slice(d))
     if name == "8_19":
         # agrees with the positive-braid value via mirror antisymmetry
         if abs(s) != 6:
@@ -479,10 +480,10 @@ def braid_presentations() -> dict[str, BraidWord]:
     for name, letters in candidates.items():
         strands = max(abs(k) for k in letters) + 1
         w = BraidWord(strands, tuple(letters))
-        s = s_invariant(braid_closure(w))
+        s = s_invariant(build_slice(braid_closure(w)))
         if s != rows[name]:
             w = BraidWord(strands, tuple(-k for k in letters))
-            s = s_invariant(braid_closure(w))
+            s = s_invariant(build_slice(braid_closure(w)))
         if s != rows[name]:
             raise AssertionError(f"{name}: no chirality of {letters} matches s = {rows[name]}")
         out[name] = w

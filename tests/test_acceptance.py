@@ -86,7 +86,7 @@ def test_criterion_2_alternating_tightness():
         if not is_alternating(d):
             continue
         assert bound_Delta(d) == 0, row["name"]
-        assert bound_U(d) == s_invariant(d), row["name"]
+        assert bound_U(d) == s_invariant(build_slice(d)), row["name"]
         checked += 1
     assert checked >= 30
     print(f"criterion 2 PASS: Delta = 0 and U = s_oracle on all {checked} alternating table diagrams")
@@ -97,7 +97,7 @@ def test_criterion_3_positive_torus_tightness():
         d = braid_closure(BraidWord(2, (1,) * q))
         assert bound_U(d) == q - 1
         assert bound_Delta(d) == 0
-        assert s_invariant(d) == q - 1
+        assert s_invariant(build_slice(d)) == q - 1
         assert genus_bound_knot(d) == Fraction(q - 1, 2)
         assert genus_bound_link(d) == Fraction(q - 1, 2)
     print("criterion 3 PASS: T(2,q) closures tight with s = q - 1, genus bound (q-1)/2, q in {3,5,7,9}")
@@ -152,13 +152,13 @@ def test_criterion_7_oracle_internal_consistency():
     checked_pairs = 0
     for name, d in battery:
         build_slice(d)
-        canonical_cycles(d)
-        prof = filtration_profile(d)
+        canonical_cycles(build_slice(d))
+        prof = filtration_profile(build_slice(d))
         j2, j1 = profile_jumps(prof)
         assert j1 - j2 == 2, name
-        assert s_invariant(d) == j2 + 1 == j1 - 1, name
+        assert s_invariant(build_slice(d)) == j2 + 1 == j1 - 1, name
         if len(d.crossings) <= 7:
-            assert s_invariant(mirror(d)) == -s_invariant(d), name
+            assert s_invariant(build_slice(mirror(d))) == -s_invariant(build_slice(d)), name
             checked_pairs += 1
     assert checked_pairs >= 15
     print(f"criterion 7 PASS: boundary checks, jump gap 2, and s(mirror) = -s "
@@ -168,8 +168,8 @@ def test_criterion_7_oracle_internal_consistency():
 def test_criterion_8_diagram_independence():
     by_name = {r["name"]: r for r in load_table()}
     for name, braid_txt in BRAID_PRESENTATIONS.items():
-        knot_s = s_invariant(diagram_from_pd(parse_pd(by_name[name]["pd"])))
-        braid_s = s_invariant(braid_closure(parse_braid(braid_txt)))
+        knot_s = s_invariant(build_slice(diagram_from_pd(parse_pd(by_name[name]["pd"]))))
+        braid_s = s_invariant(build_slice(braid_closure(parse_braid(braid_txt))))
         assert knot_s == braid_s == int(by_name[name]["known_s"]), name
     print(f"criterion 8 PASS: s agrees between PD and braid presentations for "
           f"{len(BRAID_PRESENTATIONS)} knots")
@@ -191,7 +191,7 @@ def test_criterion_9_parity_and_unknots():
         braid_closure(BraidWord(2, (1, 1, -1))),
     )
     for d in unknots:
-        assert s_invariant(d) == 0
+        assert s_invariant(build_slice(d)) == 0
     print(f"criterion 9 PASS: U even on {evens} connected knot diagrams; "
           "s = 0 on all three unknot presentations")
 

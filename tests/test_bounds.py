@@ -149,6 +149,30 @@ class TestGenusBounds:
                 assert genus_bound_knot(d) >= classic_bennequin(d)
 
 
+GUARD_INPUTS = {"split": braid_closure(BraidWord(2, ())), "link": braid_closure(BraidWord(2, (1, 1)))}
+GUARD_CASES = [
+    (s_window, "split", DisconnectedDiagramError, "s window needs a connected diagram"),
+    (s_window, "link", ValueError, "s window is for knots; diagram has 2 components"),
+    (genus_bound_knot, "split", DisconnectedDiagramError, "genus bound needs a connected diagram"),
+    (genus_bound_knot, "link", ValueError, "knot genus bound is for knots; diagram has 2 components"),
+    (genus_bound_link, "split", DisconnectedDiagramError, "genus bound needs a connected diagram"),
+    (classic_bennequin, "split", DisconnectedDiagramError, "genus bound needs a connected diagram"),
+    (classic_bennequin, "link", ValueError, "classic bound is for knots; diagram has 2 components"),
+]
+
+
+class TestGuards:
+    """The exact exception class and message of each bound's input guard."""
+
+    @pytest.mark.parametrize("fn, kind, cls, message", GUARD_CASES,
+                             ids=[f"{fn.__name__}-{kind}" for fn, kind, _, _ in GUARD_CASES])
+    def test_exception_class_and_message(self, fn, kind, cls, message):
+        with pytest.raises(cls) as info:
+            fn(GUARD_INPUTS[kind])
+        assert type(info.value) is cls
+        assert str(info.value) == message
+
+
 class TestBoundsReport:
     def test_positive_trefoil(self):
         r = bounds_report(TREFOIL, BraidWord(2, (1, 1, 1)))

@@ -254,7 +254,7 @@ class TestKnotS:
             d = braid_closure(w)
             if not (d.is_knot and d.is_connected) or len(d.crossings) > 9:
                 continue
-            assert knot_s(d, w, 9) == s_invariant(d, build_slice(d, 9)), w
+            assert knot_s(d, w, 9) == s_invariant(build_slice(d, 9)), w
             checked += 1
             shrunk += reduce_braid(w) != w
         assert checked >= 30 and shrunk >= checked // 2

@@ -6,8 +6,9 @@
   module compares a crossing count (``len(<...>.crossings)``) with a limit
   (a name containing ``limit`` or ``max_crossings``).  Callers that skip
   refused diagrams catch ``CrossingLimitError``.  Within ``lee_oracle``,
-  ``build_slice`` is the only function that takes a limit parameter: the
-  other oracle entries take the slice it built.
+  ``build_slice`` is the only function that takes a limit parameter, and
+  the other oracle entries, ``canonical_cycles``, ``s_invariant`` and
+  ``filtration_profile``, each take one parameter: the slice it built.
 * ``cli`` holds argument parsing, input loading, output formatting and exit
   codes only: no classes, and no functions but the ``cmd_*`` handlers,
   ``build_parser``, ``main`` and its I/O helpers.
@@ -82,15 +83,24 @@ def test_only_the_oracle_compares_crossing_counts_with_limits():
     assert not found
 
 
+def _params(node):
+    a = node.args
+    return [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+
+
 def test_only_build_slice_takes_a_limit():
     takers = []
     for node in ast.walk(_trees()["lee_oracle.py"]):
         if isinstance(node, ast.FunctionDef):
-            a = node.args
-            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
-            if any(_is_limit_name(p.arg) for p in params):
+            if any(_is_limit_name(p.arg) for p in _params(node)):
                 takers.append(node.name)
     assert takers == ["build_slice"]
+
+
+def test_the_oracle_entries_take_the_slice_alone():
+    functions = {node.name: node for node in _trees()["lee_oracle.py"].body if isinstance(node, ast.FunctionDef)}
+    for entry in ("canonical_cycles", "s_invariant", "filtration_profile"):
+        assert len(_params(functions[entry])) == 1, entry
 
 
 def test_cli_defines_only_handlers_and_io():

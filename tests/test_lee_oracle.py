@@ -35,6 +35,7 @@ from slicebound.lee_oracle import (
     _build_matrix,
     _check_slice,
     _column_echelon,
+    _composes_to_zero,
     _reduce_against,
     _row_order,
     _strip,
@@ -47,6 +48,11 @@ MIXED = braid_closure(BraidWord(2, (1, 1, -1)))
 FIG8 = diagram_from_pd(parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"))
 
 
+def _positions(s, degree):
+    """The index of each generator of ``degree``, in (vertex, label) order."""
+    return list(chain.from_iterable(s.rows[degree].values()))
+
+
 class TestBuildSlice:
     def test_zero_crossing_unknot(self):
         s = build_slice(UNKNOT0)
@@ -57,7 +63,7 @@ class TestBuildSlice:
     def test_positive_diagram_has_no_incoming(self):
         s = build_slice(TREFOIL)
         assert s.dim(-1) == 0
-        assert len(s.vertices[0]) == 1  # only the oriented resolution
+        assert len(s.rows[0]) == 1  # only the oriented resolution
 
     def test_mixed_has_incoming_and_composes_to_zero(self):
         s = build_slice(MIXED)
@@ -88,26 +94,27 @@ class TestBuildSlice:
     def test_vertex_degrees(self):
         s = build_slice(MIXED)
         for degree in (-1, 0, 1):
-            for mask in s.vertices[degree]:
+            for mask in s.rows[degree]:
                 assert mask.bit_count() - s.diagram.n_minus == degree
+            assert list(s.rows[degree]) == sorted(s.rows[degree])
 
 
 class TestCanonicalCycles:
     def test_unknot_label(self):
-        s_o, s_obar = canonical_cycles(UNKNOT0)
+        s_o, s_obar = canonical_cycles(build_slice(UNKNOT0))
         # a single circle labeled v_minus + v_plus: both coefficients +1
         assert sorted(s_o.coefficients.values()) == [1, 1]
         assert s_o.classes == (0,)
         assert s_obar.classes == (1,)
 
     def test_trefoil_adjacent_circles_opposite(self):
-        s_o, s_obar = canonical_cycles(TREFOIL)
+        s_o, s_obar = canonical_cycles(build_slice(TREFOIL))
         assert sorted(s_o.classes) == [0, 1]
         assert s_obar.classes == tuple(1 - c for c in s_o.classes)
 
     def test_min_grading_is_writhe_minus_circles(self):
         for d in (TREFOIL, FIG8, MIXED, KINK):
-            s_o, _ = canonical_cycles(d)
+            s_o, _ = canonical_cycles(build_slice(d))
             # closedness and the minimum-grading identity are asserted at
             # construction; spot-check the value here too
             from slicebound import oriented_resolution
@@ -119,45 +126,45 @@ class TestCanonicalCycles:
         # adjacent Seifert circles in one class: neither labeling is a cycle
         monkeypatch.setattr(slicebound.lee_oracle, "two_coloring", lambda g: [0] * g.node_count)
         with pytest.raises(ConsistencyError, match="canonical cycle is not closed"):
-            canonical_cycles(d)
+            canonical_cycles(build_slice(d))
 
     def test_closedness_checked_on_random_knots(self):
         checked = 0
         for seed in range(60):
             d = braid_closure(random_braid(3, 6, seed))
             if d.is_connected and d.is_knot:
-                canonical_cycles(d)  # raises if either cycle is not closed
+                canonical_cycles(build_slice(d))  # raises if either cycle is not closed
                 checked += 1
         assert checked >= 10
 
 
 class TestSInvariant:
     def test_unknot_presentations(self):
-        assert s_invariant(UNKNOT0) == 0
-        assert s_invariant(KINK) == 0
-        assert s_invariant(MIXED) == 0
+        assert s_invariant(build_slice(UNKNOT0)) == 0
+        assert s_invariant(build_slice(KINK)) == 0
+        assert s_invariant(build_slice(MIXED)) == 0
 
     def test_trefoils(self):
-        assert s_invariant(TREFOIL) == 2
-        assert s_invariant(mirror(TREFOIL)) == -2
+        assert s_invariant(build_slice(TREFOIL)) == 2
+        assert s_invariant(build_slice(mirror(TREFOIL))) == -2
         atlas = diagram_from_pd(parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"))
-        assert s_invariant(atlas) == -2
+        assert s_invariant(build_slice(atlas)) == -2
 
     def test_figure_eight(self):
-        assert s_invariant(FIG8) == 0
-        assert s_invariant(mirror(FIG8)) == 0
+        assert s_invariant(build_slice(FIG8)) == 0
+        assert s_invariant(build_slice(mirror(FIG8))) == 0
 
     def test_torus_knots_positive(self):
         for q in (3, 5, 7, 9):
             d = braid_closure(BraidWord(2, (1,) * q))
-            assert s_invariant(d) == q - 1
+            assert s_invariant(build_slice(d)) == q - 1
 
     def test_mirror_antisymmetry_random(self):
         checked = 0
         for seed in range(80):
             d = braid_closure(random_braid(3, 8, seed))
             if d.is_connected and d.is_knot:
-                assert s_invariant(mirror(d)) == -s_invariant(d)
+                assert s_invariant(build_slice(mirror(d))) == -s_invariant(build_slice(d))
                 checked += 1
             if checked >= 15:
                 break
@@ -170,7 +177,7 @@ class TestSInvariant:
             d = braid_closure(w)
             if d.is_connected and d.is_knot and checked < 12:
                 lo, hi, exact = s_window(d, w)
-                s = s_invariant(d)
+                s = s_invariant(build_slice(d))
                 assert lo <= s <= hi
                 if exact is not None:
                     assert s == exact
@@ -180,11 +187,11 @@ class TestSInvariant:
 
 class TestFiltrationProfile:
     def test_unknot(self):
-        assert filtration_profile(UNKNOT0) == {1: 1, -1: 2}
-        assert profile_jumps(filtration_profile(UNKNOT0)) == (-1, 1)
+        assert filtration_profile(build_slice(UNKNOT0)) == {1: 1, -1: 2}
+        assert profile_jumps(filtration_profile(build_slice(UNKNOT0))) == (-1, 1)
 
     def test_positive_trefoil(self):
-        prof = filtration_profile(TREFOIL)
+        prof = filtration_profile(build_slice(TREFOIL))
         assert prof == {5: 0, 3: 1, 1: 2}
         assert profile_jumps(prof) == (1, 3)
 
@@ -192,14 +199,14 @@ class TestFiltrationProfile:
         for seed in range(60):
             d = braid_closure(random_braid(3, 6, seed))
             if d.is_connected and d.is_knot:
-                prof = filtration_profile(d)
+                prof = filtration_profile(build_slice(d))
                 j2, j1 = profile_jumps(prof)
                 assert j1 - j2 == 2
-                assert s_invariant(d) == j2 + 1 == j1 - 1
+                assert s_invariant(build_slice(d)) == j2 + 1 == j1 - 1
 
     def test_profile_is_staircase(self):
         for d in (FIG8, MIXED, KINK):
-            dims = list(filtration_profile(d).values())
+            dims = list(filtration_profile(build_slice(d)).values())
             assert dims == sorted(dims)
             assert dims[-1] == 2
 
@@ -228,19 +235,19 @@ class TestOnePass:
     def test_canonical_cycles_resolve_the_diagram_once(self, resolution_masks):
         d = Diagram(FIG8.crossings)  # fresh: nothing cached yet
         s = build_slice(d)
-        canonical_cycles(d, s)
+        canonical_cycles(s)
         assert resolution_masks.count(d.oriented_mask) == 1
         # every vertex of degrees -1, 0 and 1, and the one degree -2 vertex,
         # which the clearing resolves for its d_-2 relations, each once
         assert comb(len(d.crossings), d.n_minus - 2) == 1
-        assert len(resolution_masks) == sum(map(len, s.vertices.values())) + 1
+        assert len(resolution_masks) == sum(map(len, s.rows.values())) + 1
         assert len(set(resolution_masks)) == len(resolution_masks)
 
     def test_shared_slice_gives_the_same_results(self):
         for d in (MIXED, FIG8, mirror(TREFOIL)):
             s = build_slice(d)
-            assert s_invariant(d, slice_=s) == s_invariant(d)
-            assert filtration_profile(d, slice_=s) == filtration_profile(d)
+            assert s_invariant(s) == s_invariant(build_slice(d))
+            assert filtration_profile(s) == filtration_profile(build_slice(d))
 
 
 # --- elimination kernel against plain rational elimination ----------------
@@ -306,6 +313,36 @@ class TestEliminationKernel:
             assert all(isinstance(v, int) for v in got.values())
 
 
+# --- the zero-composition test against the exact product ------------------
+
+
+def _product(outer, col):
+    """outer . col, each entry accumulated with ``dict.get``; zeros dropped."""
+    out = {}
+    for t, c in col.items():
+        for u, e in outer[t].items():
+            out[u] = out.get(u, 0) + c * e
+    return {u: v for u, v in out.items() if v}
+
+
+_units = st.dictionaries(st.integers(0, 5), st.sampled_from((1, -1)), max_size=4)
+# three columns, or three columns each followed by its twin three places on,
+# so that a +1 and a -1 entry of ``col`` at a pair of twins cancel
+_outers = st.lists(_units, min_size=3, max_size=3).flatmap(
+    lambda cols: st.sampled_from((cols + [{}, {}, {}], cols + cols))
+)
+
+
+class TestComposesToZero:
+    @settings(max_examples=300, deadline=None)
+    @given(outer=_outers, col=_units)
+    # twins with opposite signs in ``col`` cancel; with equal signs they double
+    @example(outer=[{0: 1, 2: -1}, {}, {}, {0: 1, 2: -1}, {}, {}], col={0: 1, 3: -1})
+    @example(outer=[{0: 1, 2: -1}, {}, {}, {0: 1, 2: -1}, {}, {}], col={0: 1, 3: 1})
+    def test_matches_the_exact_product(self, outer, col):
+        assert _composes_to_zero(outer, col) == (not _product(outer, col))
+
+
 # --- pivot order and clearing against the ascending-tie, uncleared oracle --
 
 
@@ -322,9 +359,9 @@ def _reference(d, s):
     and the prefix ranks of every d_out column, none skipped.
 
     The slice's rows of C^0 and C^1 are first mapped back to (vertex, label)
-    indices through ``positions``; the reference then applies its own order.
+    indices through ``rows``; the reference then applies its own order.
     """
-    pos0, pos1 = s.positions[0], s.positions[1]
+    pos0, pos1 = _positions(s, 0), _positions(s, 1)
     index0, index1 = _inverse(pos0), _inverse(pos1)
     q0 = [s.gradings[0][p] for p in pos0]
     order = sorted(range(len(q0)), key=lambda i: (q0[i], i))
@@ -336,7 +373,7 @@ def _reference(d, s):
         return {pos[index0[row]]: v for row, v in col.items()}
 
     in_pivots = _column_echelon(ascending(col) for col in s.d_in)
-    s_o, _ = canonical_cycles(d, s)
+    s_o, _ = canonical_cycles(s)
     reduced = _reduce_against(ascending(s_o.coefficients), in_pivots)
     low_grades = [q0[order[low]] for low in in_pivots]
     d_out = [{index1[row]: v for row, v in s.d_out[pos0[i]].items()} for i in range(len(q0))]
@@ -373,7 +410,7 @@ class TestPivotOrderAndClearing:
     @example(d=mirror(TREFOIL))
     def test_matches_uncleared_ascending_tie_reference(self, d):
         s = build_slice(d)
-        got = (s_invariant(d, slice_=s), filtration_profile(d, slice_=s), len(s.din_echelon))
+        got = (s_invariant(s), filtration_profile(s), len(s.din_echelon))
         assert got == _reference(d, s)
 
         # every cleared d_out column reduces to zero against the columns
@@ -381,8 +418,8 @@ class TestPivotOrderAndClearing:
         # the top row of C^0 down, descending grading with ties by ascending
         # (vertex, label) index
         q0 = s.gradings[0]
-        index0 = _inverse(s.positions[0])
-        by_index = [q0[p] for p in s.positions[0]]
+        index0 = _inverse(_positions(s, 0))
+        by_index = [q0[p] for p in _positions(s, 0)]
         walk = range(len(q0) - 1, -1, -1)
         assert [index0[row] for row in walk] == sorted(range(len(q0)), key=lambda j: (-by_index[j], j))
         pivots = {}
@@ -433,8 +470,8 @@ class TestClearing:
         assert s.cleared <= _zero_columns(s.d_in)
         # no d_-2 vertex skipped as already covered could have added an index
         sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
-        circles = {m: d.resolution(m) for m in s.vertices[-1]}
-        rows = {m: range(off, off + (1 << circles[m].count)) for m, off in s.offsets[-1].items()}
+        circles = {m: d.resolution(m) for m in s.rows[-1]}
+        rows = {m: range(off, off + (1 << circles[m].count)) for m, off in _offsets(s.rows[-1], circles).items()}
         assert s.cleared == {max(r) for r in _build_matrix(d, sources, rows, circles)}
 
     @settings(max_examples=60, deadline=None)
@@ -526,11 +563,21 @@ def _reference_build_matrix(d, sources, src_offsets, tgt_offsets, circles):
     return cols
 
 
+def _offsets(masks, circles):
+    """{mask: (vertex, label) index of its label 0} for vertices ``masks``,
+    each carrying 2^circles labels, in the order given."""
+    offsets, total = {}, 0
+    for m in masks:
+        offsets[m] = total
+        total += 1 << circles[m].count
+    return offsets
+
+
 def _index_gradings(d, s):
     """degree -> q of each generator in (vertex, label) order, circles found
     with ``Diagram.resolution``."""
     grades = {}
-    for degree, masks in s.vertices.items():
+    for degree, masks in s.rows.items():
         counts = [d.resolution(m).count for m in masks]
         grades[degree] = tuple(
             _reference_grade(label, k, m, d.n_plus, d.n_minus)
@@ -557,14 +604,15 @@ class TestTableDrivenConstruction:
     @staticmethod
     def _assert_matches_reference(d):
         s = build_slice(d)
-        circles = {m: d.resolution(m) for masks in s.vertices.values() for m in masks}
+        circles = {m: d.resolution(m) for masks in s.rows.values() for m in masks}
         grades = _index_gradings(d, s)
-        pos0, pos1 = s.positions[0], s.positions[1]
+        pos0, pos1 = _positions(s, 0), _positions(s, 1)
+        offsets = {degree: _offsets(masks, circles) for degree, masks in s.rows.items()}
         assert s.gradings[-1] == grades[-1]
         assert list(s.gradings[0]) == _at_rows(grades[0], pos0)
         assert list(s.gradings[1]) == _at_rows(grades[1], pos1)
-        d_in = _reference_build_matrix(d, s.vertices[-1], s.offsets[-1], s.offsets[0], circles)
-        d_out = _reference_build_matrix(d, s.vertices[0], s.offsets[0], s.offsets[1], circles)
+        d_in = _reference_build_matrix(d, tuple(s.rows[-1]), offsets[-1], offsets[0], circles)
+        d_out = _reference_build_matrix(d, tuple(s.rows[0]), offsets[0], offsets[1], circles)
         assert list(s.d_in) == [{pos0[t]: v for t, v in col.items()} for col in d_in]
         assert list(s.d_out) == _at_rows([{pos1[t]: v for t, v in col.items()} for col in d_out], pos0)
 
@@ -591,8 +639,8 @@ class TestRowNumbering:
             for degree in (0, 1):
                 q = s.gradings[degree]
                 assert list(q) == sorted(q)
-                assert s.positions[degree] == _row_order(grades[degree])[0]
-                assert all(q[p] == g for p, g in zip(s.positions[degree], grades[degree]))
+                assert _positions(s, degree) == _row_order(grades[degree])[0]
+                assert all(q[p] == g for p, g in zip(_positions(s, degree), grades[degree]))
 
     def test_c_minus_one_is_not_permuted(self):
         s = build_slice(FIG8)
@@ -600,7 +648,7 @@ class TestRowNumbering:
         assert list(grades) != sorted(grades)  # so a sorted C^-1 would show
         assert s.gradings[-1] == grades
         assert len(s.d_in) == len(grades)
-        assert set(s.positions) == {0, 1}
+        assert _positions(s, -1) == list(range(len(grades)))
 
 
 # --- the structural check catches corrupted differentials -----------------
