@@ -12,6 +12,11 @@ data is carried by the tuples themselves:
 ``Diagram.strands`` is the one walk of the strand cycles (components, PD
 export and the PD label-run rule read it), and ``Diagram.resolution`` is the
 one routine that smooths the crossings and numbers the resulting circles.
+It walks crossing slots: slot 4i+p is position p of crossing i, a cached
+table gives the slot at the other end of each slot's edge, and the smoothing
+of crossing i joins slot 4i+p to 4i+(p^1) or 4i+(p^3).  ``UnionFind`` serves
+``Diagram.is_connected``, the signed-subgraph components of the Seifert graph
+and ``seifert.betti1_components``.
 The oriented resolution (the Seifert circles) and the signed Seifert graph on
 it are cached on the diagram like its other derived quantities, so every
 bound reads one structure.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -164,7 +170,8 @@ class Diagram:
 
     @cached_property
     def edge_index(self) -> dict[int, int]:
-        """Position of each edge id in ``edge_ids``: its union-find element."""
+        """Position of each edge id in ``edge_ids``: its union-find element
+        in ``is_connected``, the one user."""
         return {e: i for i, e in enumerate(self.edge_ids)}
 
     @cached_property
@@ -216,32 +223,57 @@ class Diagram:
         """Cube vertex of the oriented resolution: bits set at the negative crossings."""
         return sum(1 << i for i, c in enumerate(self.crossings) if c.sign < 0)
 
+    @cached_property
+    def _slot_walk(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """Tables of ``resolution``'s walk over crossing slots (slot 4i+p is
+        position p of crossing i): the edge id at each slot, the slot at the
+        other end of the same edge, and (edge id, one of its slots) by
+        ascending edge id, with slot -1 for a free loop.
+
+        A walk ends only if ``partner`` is an involution, so an edge in a
+        third slot raises here: a mirror image, for one, is resolved without
+        passing through ``validate``.
+        """
+        edges = tuple(chain.from_iterable(c.edges for c in self.crossings))
+        partner = list(range(len(edges)))
+        slot_of: dict[int, int] = {}
+        for s, e in enumerate(edges):
+            t = slot_of.setdefault(e, s)
+            if partner[t] != t:
+                raise ValidationError(f"edge {e} fills more than two crossing slots")
+            partner[s], partner[t] = t, s
+        starts = {**dict.fromkeys(self.free_loops, -1), **slot_of}
+        return edges, tuple(partner), tuple(sorted(starts.items()))
+
     def resolution(self, mask: int) -> SeifertCircles:
         """Circles of cube vertex ``mask``, ids by increasing minimum edge id.
 
         Bit i set smooths crossing i into the pairing {a,d},{b,c}, bit i clear
-        into {a,b},{c,d}.  Free loops are circles of their own.
+        into {a,b},{c,d}: slot 4i+p is joined to slot 4i+(p^3) or 4i+(p^1).
+        A circle is walked from one slot of its minimum edge: across the
+        smoothing to the next slot, along that slot's edge to the slot at its
+        other end, and so on until the walk is back where it began.  Circles
+        are started from the unvisited edges in ascending id order; free
+        loops are circles of their own.
         """
-        ids = self.edge_ids
-        index = self.edge_index
-        uf = UnionFind(len(ids))
-        for i, c in enumerate(self.crossings):
-            a, b, cc, dd = c.edges
-            if mask >> i & 1:
-                uf.union(index[a], index[dd])
-                uf.union(index[b], index[cc])
-            else:
-                uf.union(index[a], index[b])
-                uf.union(index[cc], index[dd])
-        circle_of_root: dict[int, int] = {}
+        edges, partner, starts = self._slot_walk
         circle_of_edge: dict[int, int] = {}
         reps: list[int] = []
-        for i, e in enumerate(ids):  # ascending, so a circle's first edge is its minimum
-            root = uf.find(i)
-            if root not in circle_of_root:
-                circle_of_root[root] = len(reps)
-                reps.append(e)
-            circle_of_edge[e] = circle_of_root[root]
+        for e, start in starts:
+            if e in circle_of_edge:
+                continue
+            circle = len(reps)
+            reps.append(e)
+            if start < 0:
+                circle_of_edge[e] = circle
+                continue
+            s = start
+            while True:
+                t = s ^ 3 if mask >> (s >> 2) & 1 else s ^ 1
+                circle_of_edge[edges[t]] = circle
+                s = partner[t]
+                if s == start:
+                    break
         return SeifertCircles(circle_of_edge, len(reps), tuple(reps))
 
     @cached_property

@@ -504,9 +504,16 @@ def _column_echelon(columns, skip: frozenset[int] = frozenset()) -> dict[int, di
 def _row_order(q: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """(pos, order) of generators by ascending grading, ties by descending index.
 
-    ``order`` lists generators by row and ``pos`` is its inverse.
+    ``order`` lists generators by row and ``pos`` is its inverse.  Indices
+    are bucketed by grading in ascending order, and each bucket is read in
+    reverse.
     """
-    order = sorted(range(len(q)), key=lambda i: (q[i], -i))
+    buckets: dict[int, list[int]] = {g: [] for g in sorted(set(q))}
+    for i, g in enumerate(q):
+        buckets[g].append(i)
+    order: list[int] = []
+    for bucket in buckets.values():
+        order += reversed(bucket)
     pos = [0] * len(q)
     for p, i in enumerate(order):
         pos[i] = p

@@ -7,6 +7,9 @@ whose component counts drive the bounds.  Circles, graph and the component
 ids of both signed subgraphs are found once per diagram, in ``diagram``
 (``Diagram.seifert_circles``, ``Diagram.seifert_graph``), whose
 ``UnionFind``, ``SeifertCircles`` and ``SeifertGraph`` are re-exported here.
+The circles come from ``Diagram.resolution``'s walk over crossing slots;
+``UnionFind`` finds the signed-subgraph components and, in
+``betti1_components``, the components of the auxiliary graph.
 The auxiliary graph joins each circle's negative-subgraph component to its
 positive-subgraph component; its first Betti number equals the error width
 of the bound.

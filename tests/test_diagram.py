@@ -4,7 +4,7 @@ import csv
 from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slicebound.diagram
@@ -12,6 +12,7 @@ from slicebound import (
     BraidWord,
     Crossing,
     Diagram,
+    SeifertCircles,
     ValidationError,
     braid_closure,
     braid_sign_condition,
@@ -26,6 +27,7 @@ from slicebound import (
     validate,
 )
 from slicebound.checks import bundled_table_path
+from slicebound.diagram import UnionFind
 
 TREFOIL = braid_closure(BraidWord(2, (1, 1, 1)))
 UNKNOT0 = braid_closure(BraidWord(1, ()))
@@ -81,12 +83,12 @@ def _table_knots():
 
 
 @st.composite
-def _braid_closures(draw):
+def _braid_closures(draw, max_letters=12):
     strands = draw(st.integers(1, 5))
     if strands == 1:
         return braid_closure(BraidWord(1, ()))
     letter = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
-    return braid_closure(BraidWord(strands, tuple(draw(st.lists(letter, max_size=12)))))
+    return braid_closure(BraidWord(strands, tuple(draw(st.lists(letter, max_size=max_letters)))))
 
 
 class TestStrands:
@@ -122,6 +124,64 @@ class TestStrands:
         assert d.free_loops == (3, 4)
         assert d.strands[2:] == ((3,), (4,))
         assert d.components == 4
+
+
+def _resolution_reference(d, mask):
+    """``Diagram.resolution`` by union-find over the smoothing pairs: the
+    circles are the classes of the edge ids, numbered by minimum edge id."""
+    index = d.edge_index
+    uf = UnionFind(len(d.edge_ids))
+    for i, c in enumerate(d.crossings):
+        a, b, cc, dd = c.edges
+        for x, y in ((a, dd), (b, cc)) if mask >> i & 1 else ((a, b), (cc, dd)):
+            uf.union(index[x], index[y])
+    circle_of_root = {}
+    circle_of_edge = {}
+    reps = []
+    for i, e in enumerate(d.edge_ids):
+        root = uf.find(i)
+        if root not in circle_of_root:
+            circle_of_root[root] = len(reps)
+            reps.append(e)
+        circle_of_edge[e] = circle_of_root[root]
+    return SeifertCircles(circle_of_edge, len(reps), tuple(reps))
+
+
+class TestResolution:
+    """The slot walk of ``Diagram.resolution`` against the union-find reference."""
+
+    @staticmethod
+    def _assert_every_mask(d):
+        for mask in range(1 << len(d.crossings)):
+            assert d.resolution(mask) == _resolution_reference(d, mask), mask
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=_braid_closures(max_letters=8))
+    def test_braid_closures_and_mirrors(self, d):
+        self._assert_every_mask(d)
+        self._assert_every_mask(mirror(d))
+
+    def test_table_knots(self):
+        for d in _table_knots():
+            self._assert_every_mask(d)
+
+    def test_free_loops_are_circles_of_their_own(self):
+        d = braid_closure(BraidWord(4, (1, -1)))
+        self._assert_every_mask(d)
+        for mask in range(4):
+            of = d.resolution(mask).circle_of_edge
+            for loop in d.free_loops:
+                assert [e for e in of if of[e] == of[loop]] == [loop]
+
+    def test_kink_edge_fills_two_slots_of_one_crossing(self):
+        d = braid_closure(BraidWord(2, (1,)))
+        assert any(len(set(c.edges)) < 4 for c in d.crossings)
+        self._assert_every_mask(d)
+        assert [d.resolution(mask).count for mask in (0, 1)] == [2, 1]
+
+    def test_an_edge_in_a_third_slot_is_refused(self):
+        with pytest.raises(ValidationError, match="edge 1 fills more than two crossing slots"):
+            Diagram((Crossing((1, 1, 1, 2), 1),)).resolution(0)
 
 
 class TestEdgeIndex:

@@ -642,6 +642,13 @@ class TestRowNumbering:
                 assert _positions(s, degree) == _row_order(grades[degree])[0]
                 assert all(q[p] == g for p, g in zip(_positions(s, degree), grades[degree]))
 
+    @example(q=())
+    @example(q=(3,) * 40)
+    @given(q=st.lists(st.integers(-12, 12), max_size=200).map(tuple))
+    def test_row_order_matches_the_keyed_sort(self, q):
+        order = sorted(range(len(q)), key=lambda i: (q[i], -i))
+        assert _row_order(q) == (_inverse(order), order)
+
     def test_c_minus_one_is_not_permuted(self):
         s = build_slice(FIG8)
         grades = _index_gradings(FIG8, s)[-1]
