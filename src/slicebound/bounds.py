@@ -8,9 +8,10 @@ For a diagram D with Seifert graph T:
 U bounds the Rasmussen invariant s from above and U - 2 Delta from below for
 connected knot diagrams; Delta vanishes exactly when the bound is tight, which
 is guaranteed for positive, negative, and alternating diagrams and for
-closures of braid words whose generators each keep a single sign.  T and the
-component ids of T- and T+ are built once per diagram
-(``Diagram.seifert_graph``), and every bound here reads them.
+closures of braid words whose generators each keep a single sign
+(``notation.braid_sign_condition``).  T and the component ids of T- and T+
+are built once per diagram (``Diagram.seifert_graph``), and every bound here
+reads them.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .diagram import ConsistencyError, Diagram, is_alternating, is_negative, is_positive
-from .diagram import braid_sign_condition, validate
-from .notation import BraidWord
+from .diagram import ConsistencyError, Diagram, is_alternating, is_negative, is_positive, validate
+from .notation import BraidWord, braid_sign_condition
 from .seifert import DisconnectedDiagramError, component_count
 
 
@@ -145,19 +145,10 @@ def bounds_report(d: Diagram, braid: Optional[BraidWord] = None) -> BoundsReport
         s_exact=s_exact,
         genus_bound_new=genus_new,
         genus_bound_classic=genus_classic,
-        positive=bool(flags["positive"]),
-        negative=bool(flags["negative"]),
-        alternating=bool(flags["alternating"]),
-        braid_sign_condition=flags["braid_sign_condition"],
+        **flags,
         connected=connected,
         is_knot=knot,
     )
-
-
-def _fraction_str(x: Optional[Fraction]) -> Optional[str]:
-    if x is None:
-        return None
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def report_json_dict(report: BoundsReport) -> dict:
@@ -168,8 +159,8 @@ def report_json_dict(report: BoundsReport) -> dict:
         "s_lower": report.s_lower,
         "s_upper": report.s_upper,
         "s_exact": report.s_exact,
-        "genus_bound_new": _fraction_str(report.genus_bound_new),
-        "genus_bound_classic": _fraction_str(report.genus_bound_classic),
+        "genus_bound_new": None if report.genus_bound_new is None else str(report.genus_bound_new),
+        "genus_bound_classic": None if report.genus_bound_classic is None else str(report.genus_bound_classic),
         "flags": {
             "positive": report.positive,
             "negative": report.negative,

@@ -179,7 +179,10 @@ def run_fuzz(
         summary.record("mirror_identity", bound_U(m) + u == 2 * delta and bound_Delta(m) == delta, context)
 
         parts = betti1_components(aux_graph(d.seifert_graph, d.seifert_circles))
-        summary.record("betti_equals_delta", delta == sum(parts) + 1 - len(parts), context)
+        # the sum alone is 1 - #nodes + #edges for any partition of the nodes;
+        # the component count is what the union-find decides
+        betti_ok = delta == sum(parts) + 1 - len(parts) and (len(parts) == 1) == connected
+        summary.record("betti_equals_delta", betti_ok, context)
 
         try:
             bounds_report(d, w)

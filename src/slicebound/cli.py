@@ -86,7 +86,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     profile = filtration_profile(slice_)
     j2, j1 = profile_jumps(profile)
     s = s_invariant(slice_)
-    if s != j2 + 1 or s != j1 - 1:
+    if s != j2 + 1:
         raise ConsistencyError(f"s = {s} disagrees with filtration jumps ({j2}, {j1})")
     payload = {
         "s": s,

@@ -19,7 +19,8 @@ of crossing i joins slot 4i+p to 4i+(p^1) or 4i+(p^3).  ``UnionFind`` serves
 and ``seifert.betti1_components``.
 The oriented resolution (the Seifert circles) and the signed Seifert graph on
 it are cached on the diagram like its other derived quantities, so every
-bound reads one structure.
+bound reads one structure.  Braid words, and ``braid_sign_condition`` with
+them, live in ``notation``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:
-    from .notation import BraidWord
 
 
 class ValidationError(ValueError):
@@ -311,9 +308,6 @@ class Diagram:
     def is_knot(self) -> bool:
         return self.components == 1
 
-    def __iter__(self) -> Iterator[Crossing]:
-        return iter(self.crossings)
-
 
 def validate(d: Diagram) -> None:
     """Check all structural invariants, reporting the first offender.
@@ -332,9 +326,14 @@ def _check_structure(d: Diagram) -> None:
         raise ValidationError("duplicate free-loop edge id")
 
     incidences: dict[int, int] = {}
+    heads: dict[int, int] = {}
+    tails: dict[int, int] = {}
     for c in d.crossings:
         for e in c.edges:
             incidences[e] = incidences.get(e, 0) + 1
+        for e_in, e_out in ((c.under_in, c.under_out), (c.over_in, c.over_out)):
+            heads[e_out] = heads.get(e_out, 0) + 1
+            tails[e_in] = tails.get(e_in, 0) + 1
     for e in d.free_loops:
         if e in incidences:
             raise ValidationError(f"edge {e} is both a free loop and a crossing edge")
@@ -344,12 +343,6 @@ def _check_structure(d: Diagram) -> None:
 
     # Strand continuity: every crossing edge heads exactly one passage and
     # tails exactly one, so the successor map is a permutation.
-    heads: dict[int, int] = {}
-    tails: dict[int, int] = {}
-    for i, c in enumerate(d.crossings):
-        for e_in, e_out in ((c.under_in, c.under_out), (c.over_in, c.over_out)):
-            heads[e_out] = heads.get(e_out, 0) + 1
-            tails[e_in] = tails.get(e_in, 0) + 1
     for e in incidences:
         if heads.get(e, 0) != 1:
             raise ValidationError(f"edge {e} is entered by {heads.get(e, 0)} strand passages, expected 1")
@@ -400,18 +393,3 @@ def is_alternating(d: Diagram) -> bool:
                 under_slots.setdefault(e, 0)
     return all(n == 1 for n in under_slots.values())
 
-
-def braid_sign_condition(w: "BraidWord") -> bool:
-    """True iff every braid generator occurs with a single sign throughout.
-
-    Closures of such words (when knots) realize the tight case of the upper
-    bound.  Vacuously true for the empty word; invariant under flipping all
-    letter signs.
-    """
-    sign_of: dict[int, int] = {}
-    for letter in w.letters:
-        idx = abs(letter)
-        s = 1 if letter > 0 else -1
-        if sign_of.setdefault(idx, s) != s:
-            return False
-    return True

@@ -543,46 +543,38 @@ def s_invariant(s: LeeComplexSlice) -> int:
 def filtration_profile(s: LeeComplexSlice) -> dict[int, int]:
     """dim F^j H^0 for each quantum grading j present in C^0, descending.
 
-    dim F^j H^0 = dim(F^j  ker d_0) - dim(F^j  im d_-1); the first term is
-    #generators of grading >= j minus the rank of the columns of d_0 of
-    grading >= j, the second counts echelon pivots of d_-1 whose low sits in
-    grading >= j.  For a knot the profile steps 0 -> 1 -> 2 as j decreases.
-    The slice's ``d_in`` echelon is shared with ``s_invariant``.
+    dim F^j H^0 = dim(F^j cap ker d_0) - dim(F^j cap im d_-1).  One walk
+    over the columns of d_0, from the top row of C^0 down (descending
+    grading, ties by ascending (vertex, label) index), counts the rows
+    walked, the rank of their columns and, for the second term, the walked
+    rows that are lows of d_-1 echelon pivots: the pivots have distinct lows,
+    so those whose low has grading >= j span F^j cap im d_-1.  Each level's
+    dimension is read as soon as its rows are walked.  For a knot the profile
+    steps 0 -> 1 -> 2 as j decreases.  The slice's ``d_in`` echelon is
+    shared with ``s_invariant``.
 
-    The columns of d_0 are walked from the top row of C^0 down (descending
-    grading, ties by ascending (vertex, label) index) and the prefix ranks
-    are read at each grading boundary.  Clearing: a column whose row is the
-    low of a reduced d_-1 pivot is counted but not reduced.  That pivot is
-    supported on its low and on rows walked before it, all of grading at
-    least the low's, and d_0 d_-1 = 0 (verified by ``_check_slice`` on every
-    slice), so the column lies in the span of columns already walked and no
-    prefix rank changes.
+    Clearing: a column whose row is the low of a reduced d_-1 pivot is
+    counted but not reduced.  That pivot is supported on its low and on rows
+    walked before it, all of grading at least the low's, and d_0 d_-1 = 0
+    (verified by ``_check_slice`` on every slice), so the column lies in the
+    span of columns already walked and no prefix rank changes.
     """
     q0 = s.gradings[0]
     in_pivots = s.din_echelon
-    low_grades = [q0[low] for low in in_pivots]
-
-    levels = sorted(set(q0), reverse=True)
     pivots: dict[int, dict[int, int]] = {}
-    rank_ge: dict[int, int] = {}
-    cols_ge: dict[int, int] = {}
+    profile: dict[int, int] = {}
+    prev = im = 0
     row = len(q0)
-    for level in levels:
+    for level in sorted(set(q0), reverse=True):
         while row and q0[row - 1] >= level:
             row -= 1
-            if row not in in_pivots:
+            if row in in_pivots:
+                im += 1
+            else:
                 red = _reduce_against(dict(s.d_out[row]), pivots)
                 if red:
                     pivots[min(red)] = _strip(red)
-        rank_ge[level] = len(pivots)
-        cols_ge[level] = len(q0) - row
-
-    profile: dict[int, int] = {}
-    prev = 0
-    for level in levels:
-        ker = cols_ge[level] - rank_ge[level]
-        im = sum(1 for g in low_grades if g >= level)
-        dim = ker - im
+        dim = len(q0) - row - len(pivots) - im
         if dim < prev or dim > 2:
             raise ConsistencyError(f"filtration profile is not a 0/1/2 staircase: {dim} at {level}")
         profile[level] = dim

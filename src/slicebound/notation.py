@@ -14,6 +14,9 @@ integers wrapping at the component's maximum label; crossing signs are derived
 from that convention, never stored in the text.  That label-run rule is the
 only check specific to PD text: the structure of the compiled diagram is
 checked by ``validate``, as for every other diagram.
+
+``BraidWord`` and ``braid_sign_condition``, the one property of a word that
+the bounds read, live here; ``diagram`` knows nothing of braid words.
 """
 
 from __future__ import annotations
@@ -53,6 +56,22 @@ class BraidWord:
                 raise ValidationError(
                     f"letter {letter} needs at least {abs(letter) + 1} strands, word has {self.strands}"
                 )
+
+
+def braid_sign_condition(w: BraidWord) -> bool:
+    """True iff every braid generator occurs with a single sign throughout.
+
+    Closures of such words (when knots) realize the tight case of the upper
+    bound.  Vacuously true for the empty word; invariant under flipping all
+    letter signs.
+    """
+    sign_of: dict[int, int] = {}
+    for letter in w.letters:
+        idx = abs(letter)
+        s = 1 if letter > 0 else -1
+        if sign_of.setdefault(idx, s) != s:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -108,14 +127,8 @@ def parse_pd(text: str) -> PdCode:
     body = text.strip()
     if body.startswith("PD[") and body.endswith("]"):
         body = body[3:-1]
-    tuples = []
-    matched_spans = []
-    for m in _PD_TUPLE.finditer(body):
-        tuples.append(tuple(int(g) for g in m.groups()))
-        matched_spans.append(m.span())
-    leftover = body
-    for start, end in reversed(matched_spans):
-        leftover = leftover[:start] + leftover[end:]
+    tuples = [tuple(map(int, groups)) for groups in _PD_TUPLE.findall(body)]
+    leftover = _PD_TUPLE.sub("", body)
     if re.sub(r"[\s,]", "", leftover):
         raise ParseError(f"unparsable PD fragment: {leftover.strip()!r}")
     if not tuples:

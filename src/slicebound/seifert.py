@@ -91,15 +91,13 @@ def betti1_components(g: AuxGraph) -> list[int]:
     uf = UnionFind(g.node_count)
     for u, v in g.edges:
         uf.union(u, v)
-    nodes: dict[int, int] = {}
-    edge_count: dict[int, int] = {}
+    b1: dict[int, int] = {}  # root -> 1 - #nodes + #edges of its component
     for node in range(g.node_count):
         r = uf.find(node)
-        nodes[r] = nodes.get(r, 0) + 1
-        edge_count.setdefault(r, 0)
+        b1[r] = b1.get(r, 1) - 1
     for u, _ in g.edges:
-        edge_count[uf.find(u)] += 1
-    return [1 - nodes[r] + edge_count[r] for r in sorted(nodes, key=lambda r: r)]
+        b1[uf.find(u)] += 1
+    return [b1[r] for r in sorted(b1)]
 
 
 def two_coloring(g: SeifertGraph) -> list[int]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from slicebound import (
@@ -419,8 +420,9 @@ def comment_for(name: str) -> str:
     raise ValueError(kind)
 
 
-def build_rows() -> list[dict[str, str]]:
-    """All table rows, every anchor verified."""
+@cache
+def build_rows() -> tuple[dict[str, str], ...]:
+    """All table rows, every anchor verified; built once per process."""
     rows = []
     for name in _NAME_ORDER:
         info = CENSUS[name]
@@ -452,7 +454,7 @@ def build_rows() -> list[dict[str, str]]:
         rows.append(
             dict(name=name, pd=pd_text(code), known_s=str(known_s), comment=comment_for(name))
         )
-    return rows
+    return tuple(rows)
 
 
 def braid_presentations() -> dict[str, BraidWord]:

@@ -12,6 +12,7 @@ import slicebound.bounds
 import slicebound.checks
 import slicebound.diagram
 import slicebound.notation
+import slicebound.seifert
 from slicebound import BraidWord, CrossingLimitError, SeifertGraph, braid_closure, build_slice, parse_braid
 from slicebound import random_braids, reduce_braid, s_invariant
 from slicebound.checks import knot_s
@@ -225,6 +226,19 @@ class TestRunFuzzEngine:
 
     def test_deterministic(self):
         assert run_fuzz(40, 4, 9, 7).text() == run_fuzz(40, 4, 9, 7).text()
+
+    def test_betti_property_fails_when_the_union_find_joins_nothing(self, monkeypatch):
+        class JoinsNothing(slicebound.seifert.UnionFind):
+            def union(self, x, y):
+                return False
+
+        monkeypatch.setattr(slicebound.seifert, "UnionFind", JoinsNothing)
+        summary = run_fuzz(200, 5, 12, 42)
+        # each node is then a component of its own: the Betti sum still
+        # equals Delta, but no connected case has one component
+        failed = summary.checked["betti_equals_delta"] - summary.passed.get("betti_equals_delta", 0)
+        assert failed == summary.cases - summary.split > 0
+        assert not summary.ok
 
     def test_each_case_resolves_the_diagram_and_its_mirror_once(self, resolution_masks):
         summary = run_fuzz(30, 5, 12, 42)

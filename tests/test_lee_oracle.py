@@ -438,6 +438,42 @@ class TestPivotOrderAndClearing:
         assert sum(len(col) for col in pivots.values()) / len(pivots) <= 12
 
 
+# --- the filtration profile against its definition ------------------------
+
+
+def _definition_profile(s):
+    """dim F^j H^0 at each grading j of C^0, over Q, from the definition:
+    dim(F^j cap ker d_0) - (rank d_-1 - rank P_{<j} d_-1), where F^j is
+    spanned by the generators of grading >= j and P_{<j} keeps only the rows
+    of grading below j."""
+    q0 = s.gradings[0]
+    rank_in = len(_rational_echelon(s.d_in))
+    profile = {}
+    for j in sorted(set(q0), reverse=True):
+        top = [i for i, g in enumerate(q0) if g >= j]
+        ker = len(top) - len(_rational_echelon(s.d_out[i] for i in top))
+        below = ({t: v for t, v in col.items() if q0[t] < j} for col in s.d_in)
+        profile[j] = ker - (rank_in - len(_rational_echelon(below)))
+    return profile
+
+
+class TestFiltrationProfileDefinition:
+    def test_table_knots_up_to_seven_crossings(self):
+        knots = [d for d in _table_knots() if len(d.crossings) <= 7]
+        assert len(knots) == 15
+        for d in knots:
+            s = build_slice(d)
+            assert filtration_profile(s) == _definition_profile(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=_braid_knots(max_crossings=6))
+    @example(d=MIXED)
+    @example(d=KINK)
+    def test_braid_knots(self, d):
+        s = build_slice(d)
+        assert filtration_profile(s) == _definition_profile(s)
+
+
 # --- clearing against the full echelon ------------------------------------
 
 ORACLE_MID_WORDS = (
