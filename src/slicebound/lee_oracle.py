@@ -22,13 +22,17 @@ s(unknot) = 0):
   Delta(v_minus) = v_minus v_minus + v_plus v_plus, all unit coefficients
   times the cube edge sign (-1)^(set bits below the flipped one).
 
-Unit-entry invariant: every entry of ``d_in`` and ``d_out`` is +1 or -1.  A
+Unit-entry invariant: every entry of ``d_in`` and ``d_out`` is +1 or -1,
+and a column is stored as a signed row pair (``Column``): the rows of its
++1 entries and the rows of its -1 entries, as two tuples.  The +-1 rule
+holds by representation; what could break it is a row named twice, which
+would stand for an entry 2 (twice in one half) or 0 (once in each).  A
 label's terms under one edge map are distinct, and different flipped
 crossings reach different target vertices, so no two terms of a column ever
-meet.  ``_check_slice`` verifies the invariant on every slice and, under it,
-checks d_out . d_in = 0 one ``d_in`` column at a time with
-``_composes_to_zero``, which compares the targets of the +1 and -1 terms of
-the composite column.
+meet.  ``_check_slice`` verifies on every slice that no column repeats a
+row and, under that, checks d_out . d_in = 0 one ``d_in`` column at a time
+with ``_composes_to_zero``, which compares the sorted targets of the +1 and
+-1 paths through the composite column.
 
 Coefficients are exact: matrices live over the integers, and every
 elimination step leaves an integer column that is a nonzero rational multiple
@@ -56,7 +60,7 @@ relations.  ``_cleared_columns``, called by ``build_slice``, streams the
 columns of d_-2 one degree -2 vertex at a time through the one matrix
 builder, which resolves each such vertex as it reaches it; degree -2 is never
 stored, neither its columns nor its resolutions.  The first relation for each
-new top index is verified exactly (unit entries, then d_in . r = 0 by
+new top index is verified exactly (distinct rows, then d_in . r = 0 by
 ``_composes_to_zero``) before its column joins ``LeeComplexSlice.cleared``,
 which the ``d_in`` echelon skips.
 
@@ -68,11 +72,12 @@ diagram from it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diagram import ConsistencyError, Diagram, SeifertCircles, validate
 from .seifert import two_coloring
@@ -84,6 +89,9 @@ class CrossingLimitError(ValueError):
 
 
 DEFAULT_MAX_CROSSINGS = 12
+
+# one column of a differential: (rows of its +1 entries, rows of its -1 entries)
+Column = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass
@@ -99,15 +107,17 @@ class LeeComplexSlice:
     one block after the previous vertex's: it is the order in which the
     ``d_in`` echelon takes its columns, and a different column order changes
     fill-in.  ``d_in`` maps C^-1 -> C^0 and ``d_out`` maps C^0 -> C^1,
-    stored one sparse integer column per source generator keyed by target
-    row.
+    stored one immutable signed row pair (``Column``) per source generator:
+    the target rows of its +1 entries, then those of its -1 entries, no row
+    named twice (``_check_slice``).  The echelons turn a column into a
+    {row: +-1} dict only when they reduce it.
     """
 
     diagram: Diagram
     rows: dict[int, dict[int, Sequence[int]]]  # degree -> {mask: row of each label}, masks ascending
     gradings: dict[int, tuple[int, ...]]  # degree -> q per generator
-    d_in: tuple[dict[int, int], ...]
-    d_out: tuple[dict[int, int], ...]
+    d_in: tuple[Column, ...]
+    d_out: tuple[Column, ...]
     cleared: frozenset[int]  # C^-1 indices of d_in columns the echelon skips
 
     def dim(self, degree: int) -> int:
@@ -116,8 +126,11 @@ class LeeComplexSlice:
     @cached_property
     def din_echelon(self) -> dict[int, dict[int, int]]:
         """Column echelon of ``d_in``, {low row: primitive column}; computed
-        once per slice, on first use, with the ``cleared`` columns skipped."""
-        return _column_echelon(self.d_in, self.cleared)
+        once per slice, on first use.  The ``cleared`` columns lie in the span
+        of the columns before them and are skipped, which changes no pivot;
+        every other column becomes a working dict once."""
+        cleared = self.cleared
+        return _column_echelon(_as_dict(col) for j, col in enumerate(self.d_in) if j not in cleared)
 
 
 def _label_gradings(k: int, shift: int) -> list[int]:
@@ -145,32 +158,33 @@ def _build_matrix(
     sources: tuple[int, ...],
     tgt_rows: dict[int, Sequence[int]],
     circles: dict[int, SeifertCircles],
-) -> Iterator[dict[int, int]]:
+) -> Iterator[Column]:
     """Columns of the cube differential from the vertices ``sources``: one
-    column per (vertex, label), yielded in (vertex, label) order, keyed by
-    target row; ``tgt_rows[m][label]`` is the row of a target generator.
-    ``circles`` holds the resolution of every target vertex; a source vertex
-    missing from it is resolved here and not kept.
+    signed row pair per (vertex, label), yielded in (vertex, label) order;
+    ``tgt_rows[m][label]`` is the row of a target generator.  ``circles``
+    holds the resolution of every target vertex; a source vertex missing
+    from it is resolved here and not kept.
 
     Each edge map sends a label to one target (merge) or two (split) whose
     label bits are an XOR-linear function of the source label, plus a
     constant, so a whole vertex's targets come from one label table per
-    flipped crossing.  Every entry is the cube edge sign, written once: the
-    two terms of a split differ at its two child circles, and different
-    crossings land in different target vertices.
+    flipped crossing.  Every entry is the cube edge sign, so each crossing's
+    target list joins the half of its sign and the columns are the
+    transposed halves.  The two terms of a split differ at its two child
+    circles, and different crossings land in different target vertices.
     """
     n = len(d.crossings)
     for m in sources:
         ca = circles[m] if m in circles else d.resolution(m)
-        targets: list[list[int]] = []
-        signs: list[int] = []
+        plus: list[list[int]] = []
+        minus: list[list[int]] = []
         for i in range(n):
             if m >> i & 1:
                 continue
             m2 = m | 1 << i
             if m2 not in tgt_rows:
                 continue
-            sign = -1 if (m & ((1 << i) - 1)).bit_count() % 2 else 1
+            half = minus if (m & ((1 << i) - 1)).bit_count() % 2 else plus
             cb = circles[m2]
             rows = tgt_rows[m2]
             a, b, _, _ = d.crossings[i].edges
@@ -179,8 +193,7 @@ def _build_matrix(
                 # merge: both circles at crossing i map to the merged circle,
                 # so their bits XOR there: v_minus * v_minus = v_plus
                 tab = _label_table(contrib)
-                targets.append([rows[x] for x in tab])
-                signs.append(sign)
+                half.append([rows[x] for x in tab])
             elif cb.count == ca.count + 1:
                 # split: the circle through crossing i divides into t1 and
                 # t2.  With its bit sent to t1, the table holds the other
@@ -192,18 +205,18 @@ def _build_matrix(
                 t2 = 1 << cb.circle_of_edge[b]
                 contrib[ca.circle_of_edge[a]] = t1
                 tab = _label_table(contrib)
-                targets.append([rows[x ^ t2] for x in tab])
-                targets.append([rows[x ^ t1] for x in tab])
-                signs += (sign, sign)
+                half.append([rows[x ^ t2] for x in tab])
+                half.append([rows[x ^ t1] for x in tab])
             else:
                 raise ConsistencyError(
                     f"resolution change at crossing {i} is not a merge or split; "
                     "diagram data is not planar"
                 )
-        if targets:
-            yield from [dict(zip(keys, signs)) for keys in zip(*targets)]
-        else:
-            yield from [{} for _ in range(1 << ca.count)]
+        labels = 1 << ca.count
+        yield from zip(
+            zip(*plus) if plus else repeat((), labels),
+            zip(*minus) if minus else repeat((), labels),
+        )
 
 
 def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeComplexSlice:
@@ -261,7 +274,7 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     d_in = tuple(_build_matrix(d, vertices[-1], rows[0], circles))
     cleared = _cleared_columns(d, d_in, relation_sources, rows[-1], circles)
     # d_out's columns come in (vertex, label) order; store each at its C^0 row
-    d_out: list[dict[int, int]] = [{}] * len(gradings[0])
+    d_out: list[Column] = [((), ())] * len(gradings[0])
     for row, col in zip(chain.from_iterable(rows[0].values()), _build_matrix(d, vertices[0], rows[1], circles)):
         d_out[row] = col
 
@@ -279,7 +292,7 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
 
 def _cleared_columns(
     d: Diagram,
-    d_in: tuple[dict[int, int], ...],
+    d_in: tuple[Column, ...],
     sources: tuple[int, ...],
     rows: dict[int, Sequence[int]],
     circles: dict[int, SeifertCircles],
@@ -293,12 +306,12 @@ def _cleared_columns(
     it changes no pivot.  The columns of d_-2 from the vertices ``sources``
     are such relations; ``rows`` maps each C^-1 vertex to its (vertex, label)
     indices.  The first relation for each new top index is verified exactly
-    before j is kept: every entry must be +-1, and then
+    before j is kept: no row may repeat, and then
     ``_composes_to_zero(d_in, r)`` must hold.  That test also needs the
-    entries of ``d_in`` to be +-1, which ``_check_slice`` verifies before
-    ``build_slice`` returns the slice.  The targets are read straight from
-    ``d_in``: a relation touches few columns, and each column is touched by
-    about one relation.
+    columns of ``d_in`` to have distinct rows, which ``_check_slice``
+    verifies before ``build_slice`` returns the slice.  The targets are read
+    straight from ``d_in``: a relation touches few columns, and each column
+    is touched by about one relation.
 
     Every top index of a vertex w lies in the block of its highest target
     vertex, w plus the highest crossing not in w, because C^-1 numbers its
@@ -313,11 +326,12 @@ def _cleared_columns(
         if filled[top] == len(rows[top]):
             continue
         for r in _build_matrix(d, (w,), rows, circles):
-            j = max(r)
+            terms = r[0] + r[1]
+            j = max(terms)
             if j in cleared:
                 continue
-            if not set(r.values()) <= {1, -1}:
-                raise ConsistencyError(f"clearing relation has a non-unit entry: {sorted(set(r.values()) - {1, -1})}")
+            if len(set(terms)) < len(terms):
+                raise ConsistencyError(f"clearing relation has a non-unit entry: {_repeated(terms)}")
             if not _composes_to_zero(d_in, r):
                 raise ConsistencyError("clearing relation: d_in . d_-2 != 0")
             cleared.add(j)
@@ -325,46 +339,56 @@ def _cleared_columns(
     return frozenset(cleared)
 
 
-def _composes_to_zero(outer: Sequence[dict[int, int]], col: dict[int, int]) -> bool:
-    """True when outer . col = 0, for ``outer`` and ``col`` with +-1 entries.
+def _composes_to_zero(outer: Sequence[Column], col: Column) -> bool:
+    """True when outer . col = 0, for signed row pairs without repeated rows.
 
     Every path e_j -> e_t -> e_u contributes the product of a ``col`` entry
     and an ``outer`` entry, +1 exactly when they are equal, so the composite
-    vanishes when the sorted targets of the +1 terms equal those of the -1
-    terms.
+    vanishes when the sorted targets of the +1 paths equal those of the -1
+    paths: the like-signed halves of the outer columns at ``col``'s +1 rows
+    and the unlike-signed halves at its -1 rows.
     """
     up: list[int] = []
     down: list[int] = []
-    for t, c in col.items():
-        for u, e in outer[t].items():
-            if c == e:
-                up.append(u)
-            else:
-                down.append(u)
+    plus, minus = col
+    for t in plus:
+        p, m = outer[t]
+        up += p
+        down += m
+    for t in minus:
+        p, m = outer[t]
+        up += m
+        down += p
     up.sort()
     down.sort()
     return up == down
 
 
-def _check_slice(s: LeeComplexSlice) -> None:
-    """Always-on structural checks: filtered columns and d_out . d_in = 0.
+def _repeated(terms: tuple[int, ...]) -> str:
+    """The rows that ``terms`` names more than once, for an error message."""
+    return f"rows {sorted(t for t, k in Counter(terms).items() if k > 1)} repeat"
 
-    Every entry must be +-1 (Lee's edge maps have unit coefficients and
-    distinct targets), which is what ``_composes_to_zero`` needs to test
-    d_out . d_in = 0 one ``d_in`` column at a time.
+
+def _check_slice(s: LeeComplexSlice) -> None:
+    """Always-on structural checks: filtered columns, distinct rows and
+    d_out . d_in = 0.
+
+    No column may name a row twice, in one half or across both (Lee's edge
+    maps have unit coefficients and distinct targets): a repeated row is the
+    signed-row form of an entry 2 or 0, and ``_composes_to_zero``, which
+    tests d_out . d_in = 0 one ``d_in`` column at a time, needs every entry
+    to be +-1.
     """
     for src_deg, cols in ((-1, s.d_in), (0, s.d_out)):
         src_q = s.gradings[src_deg]
         tgt_q = s.gradings[src_deg + 1]
-        for j, col in enumerate(cols):
-            for t in col:
-                if tgt_q[t] - src_q[j] not in (0, 4):
-                    raise ConsistencyError(
-                        f"differential is not filtered: {src_q[j]} -> {tgt_q[t]}"
-                    )
-        entries = set(chain.from_iterable(map(dict.values, cols)))
-        if not entries <= {1, -1}:
-            raise ConsistencyError(f"differential has a non-unit entry: {sorted(entries - {1, -1})}")
+        for q, (plus, minus) in zip(src_q, cols):
+            terms = plus + minus
+            for t in terms:
+                if tgt_q[t] - q not in (0, 4):
+                    raise ConsistencyError(f"differential is not filtered: {q} -> {tgt_q[t]}")
+            if len(set(terms)) < len(terms):
+                raise ConsistencyError(f"differential has a non-unit entry: {_repeated(terms)}")
     for col in s.d_in:
         if not _composes_to_zero(s.d_out, col):
             raise ConsistencyError("d_out . d_in != 0")
@@ -402,9 +426,9 @@ def canonical_cycles(s: LeeComplexSlice) -> tuple[CanonicalCycle, CanonicalCycle
     2-coloring (adjacent circles take opposite classes).
 
     Closedness under d_out is verified exactly at construction by
-    ``_composes_to_zero``: the cycles' coefficients are +-1, and so are the
-    entries of ``d_out`` (``_check_slice``).  Which of the two is taken as
-    "the" orientation cycle is immaterial for the invariant.
+    ``_composes_to_zero``: the cycles' coefficients are +-1, and the
+    columns of ``d_out`` have distinct rows (``_check_slice``).  Which of the
+    two is taken as "the" orientation cycle is immaterial for the invariant.
     """
     d = s.diagram
     coloring = two_coloring(d.seifert_graph)
@@ -413,7 +437,9 @@ def canonical_cycles(s: LeeComplexSlice) -> tuple[CanonicalCycle, CanonicalCycle
     s_obar = _expand_cycle(s, tuple(1 - c for c in coloring))
     expected_min = -d.seifert_circles.count + d.writhe
     for cycle in (s_o, s_obar):
-        if not _composes_to_zero(s.d_out, cycle.coefficients):
+        coeffs = cycle.coefficients.items()
+        signed = (tuple(r for r, c in coeffs if c > 0), tuple(r for r, c in coeffs if c < 0))
+        if not _composes_to_zero(s.d_out, signed):
             raise ConsistencyError("canonical cycle is not closed; labeling is wrong")
         if cycle.min_q != expected_min:
             raise ConsistencyError(
@@ -424,9 +450,10 @@ def canonical_cycles(s: LeeComplexSlice) -> tuple[CanonicalCycle, CanonicalCycle
 
 # --- exact sparse column elimination -------------------------------------
 #
-# Columns are dicts keyed by filtration row, the numbering ``build_slice``
-# gives C^0 and C^1, sorted by ascending quantum grading; entries are
-# integers.  The pivot of a column is its minimum row, so one echelon pass
+# Working columns are dicts keyed by filtration row, the numbering
+# ``build_slice`` gives C^0 and C^1, sorted by ascending quantum grading;
+# entries are integers.  ``_as_dict`` makes one from a stored signed row
+# pair.  The pivot of a column is its minimum row, so one echelon pass
 # answers every "is v in F^j + span" query: reachable lowest rows are
 # exactly the pivot lows.
 #
@@ -485,17 +512,24 @@ def _reduce_against(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> d
     return col
 
 
-def _column_echelon(columns, skip: frozenset[int] = frozenset()) -> dict[int, dict[int, int]]:
-    """{low: primitive column} for the span of ``columns`` (left unchanged).
+def _as_dict(col: Column) -> dict[int, int]:
+    """A fresh {row: +-1} working column from a signed row pair."""
+    plus, minus = col
+    out = dict.fromkeys(plus, 1)
+    for r in minus:
+        out[r] = -1
+    return out
 
-    Each column whose index is in ``skip`` must lie in the span of the
-    columns before it; it is not reduced, which changes no pivot.
+
+def _column_echelon(columns: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """{low: primitive column} for the span of ``columns``.
+
+    The columns are the echelon's own: each is reduced in place, so the
+    caller hands over fresh dicts and keeps no reference to them.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(columns):
-        if j in skip:
-            continue
-        red = _reduce_against(dict(col), pivots)
+    for col in columns:
+        red = _reduce_against(col, pivots)
         if red:
             pivots[min(red)] = _strip(red)
     return pivots
@@ -571,7 +605,7 @@ def filtration_profile(s: LeeComplexSlice) -> dict[int, int]:
             if row in in_pivots:
                 im += 1
             else:
-                red = _reduce_against(dict(s.d_out[row]), pivots)
+                red = _reduce_against(_as_dict(s.d_out[row]), pivots)
                 if red:
                     pivots[min(red)] = _strip(red)
         dim = len(q0) - row - len(pivots) - im

@@ -53,6 +53,23 @@ def _positions(s, degree):
     return list(chain.from_iterable(s.rows[degree].values()))
 
 
+def _entries(col):
+    """A fresh {row: +-1} dict of a signed row pair; no row may repeat."""
+    plus, minus = col
+    out = {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)}
+    assert len(out) == len(plus) + len(minus)
+    return out
+
+
+def _signed(entries):
+    """The signed row pair of a {row: +-1} dict."""
+    assert set(entries.values()) <= {1, -1}
+    return (
+        tuple(r for r, v in entries.items() if v == 1),
+        tuple(r for r, v in entries.items() if v == -1),
+    )
+
+
 class TestBuildSlice:
     def test_zero_crossing_unknot(self):
         s = build_slice(UNKNOT0)
@@ -70,14 +87,14 @@ class TestBuildSlice:
         assert s.dim(-1) > 0
         # d_out . d_in = 0 and filtered columns are asserted at construction;
         # getting here means both checks passed
-        assert any(col for col in s.d_in)
+        assert any(_entries(col) for col in s.d_in)
 
     def test_columns_are_filtered(self):
         for d in (MIXED, FIG8):
             s = build_slice(d)
             for deg, cols in ((-1, s.d_in), (0, s.d_out)):
                 for j, col in enumerate(cols):
-                    for t in col:
+                    for t in _entries(col):
                         assert s.gradings[deg + 1][t] >= s.gradings[deg][j]
 
     def test_crossing_limit(self):
@@ -296,9 +313,10 @@ class TestEliminationKernel:
     @example(columns=[{0: 2, 1: 1}, {0: 3, 2: 1}], extras=[{0: 5, 1: 1, 2: 1}])
     def test_matches_rational_elimination(self, columns, extras):
         before = [dict(col) for col in columns]
-        pivots = _column_echelon(columns)
+        # the echelon reduces the columns it is given in place: hand it copies
+        pivots = _column_echelon([dict(col) for col in columns])
         reference = _rational_echelon(columns)
-        assert columns == before  # input columns are left unchanged
+        assert columns == before  # the caller's columns are left unchanged
         assert set(pivots) == set(reference)
         for low, piv in pivots.items():
             assert _low(piv) == low
@@ -317,7 +335,8 @@ class TestEliminationKernel:
 
 
 def _product(outer, col):
-    """outer . col, each entry accumulated with ``dict.get``; zeros dropped."""
+    """outer . col for {row: value} columns, each entry accumulated with
+    ``dict.get``; zeros dropped."""
     out = {}
     for t, c in col.items():
         for u, e in outer[t].items():
@@ -340,7 +359,8 @@ class TestComposesToZero:
     @example(outer=[{0: 1, 2: -1}, {}, {}, {0: 1, 2: -1}, {}, {}], col={0: 1, 3: -1})
     @example(outer=[{0: 1, 2: -1}, {}, {}, {0: 1, 2: -1}, {}, {}], col={0: 1, 3: 1})
     def test_matches_the_exact_product(self, outer, col):
-        assert _composes_to_zero(outer, col) == (not _product(outer, col))
+        signed = [_signed(c) for c in outer]
+        assert _composes_to_zero(signed, _signed(col)) == (not _product(outer, col))
 
 
 # --- pivot order and clearing against the ascending-tie, uncleared oracle --
@@ -372,11 +392,11 @@ def _reference(d, s):
     def ascending(col):
         return {pos[index0[row]]: v for row, v in col.items()}
 
-    in_pivots = _column_echelon(ascending(col) for col in s.d_in)
+    in_pivots = _column_echelon(ascending(_entries(col)) for col in s.d_in)
     s_o, _ = canonical_cycles(s)
     reduced = _reduce_against(ascending(s_o.coefficients), in_pivots)
     low_grades = [q0[order[low]] for low in in_pivots]
-    d_out = [{index1[row]: v for row, v in s.d_out[pos0[i]].items()} for i in range(len(q0))]
+    d_out = [{index1[row]: v for row, v in _entries(s.d_out[pos0[i]]).items()} for i in range(len(q0))]
     profile = {}
     pivots = {}
     cols = sorted(range(len(q0)), key=lambda j: (-q0[j], j))
@@ -424,7 +444,7 @@ class TestPivotOrderAndClearing:
         assert [index0[row] for row in walk] == sorted(range(len(q0)), key=lambda j: (-by_index[j], j))
         pivots = {}
         for row in walk:
-            red = _reduce_against(dict(s.d_out[row]), pivots)
+            red = _reduce_against(_entries(s.d_out[row]), pivots)
             if row in s.din_echelon:
                 assert not red
             elif red:
@@ -447,12 +467,13 @@ def _definition_profile(s):
     spanned by the generators of grading >= j and P_{<j} keeps only the rows
     of grading below j."""
     q0 = s.gradings[0]
-    rank_in = len(_rational_echelon(s.d_in))
+    d_in = [_entries(col) for col in s.d_in]
+    rank_in = len(_rational_echelon(d_in))
     profile = {}
     for j in sorted(set(q0), reverse=True):
         top = [i for i, g in enumerate(q0) if g >= j]
-        ker = len(top) - len(_rational_echelon(s.d_out[i] for i in top))
-        below = ({t: v for t, v in col.items() if q0[t] < j} for col in s.d_in)
+        ker = len(top) - len(_rational_echelon(_entries(s.d_out[i]) for i in top))
+        below = ({t: v for t, v in col.items() if q0[t] < j} for col in d_in)
         profile[j] = ker - (rank_in - len(_rational_echelon(below)))
     return profile
 
@@ -486,11 +507,11 @@ ORACLE_MID_WORDS = (
 
 
 def _zero_columns(columns):
-    """The indices of the columns that the echelon, nothing skipped, reduces
-    to zero."""
+    """The indices of the signed row pair ``columns`` that the echelon,
+    nothing skipped, reduces to zero."""
     pivots, zero = {}, set()
     for j, col in enumerate(columns):
-        red = _reduce_against(dict(col), pivots)
+        red = _reduce_against(_entries(col), pivots)
         if red:
             pivots[min(red)] = _strip(red)
         else:
@@ -502,13 +523,13 @@ class TestClearing:
     @staticmethod
     def _assert_clearing_is_exact(d):
         s = build_slice(d)
-        assert s.din_echelon == _column_echelon(s.d_in)
+        assert s.din_echelon == _column_echelon(map(_entries, s.d_in))
         assert s.cleared <= _zero_columns(s.d_in)
         # no d_-2 vertex skipped as already covered could have added an index
         sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
         circles = {m: d.resolution(m) for m in s.rows[-1]}
         rows = {m: range(off, off + (1 << circles[m].count)) for m, off in _offsets(s.rows[-1], circles).items()}
-        assert s.cleared == {max(r) for r in _build_matrix(d, sources, rows, circles)}
+        assert s.cleared == {max(_entries(r)) for r in _build_matrix(d, sources, rows, circles)}
 
     @settings(max_examples=60, deadline=None)
     @given(d=_braid_knots())
@@ -649,8 +670,10 @@ class TestTableDrivenConstruction:
         assert list(s.gradings[1]) == _at_rows(grades[1], pos1)
         d_in = _reference_build_matrix(d, tuple(s.rows[-1]), offsets[-1], offsets[0], circles)
         d_out = _reference_build_matrix(d, tuple(s.rows[0]), offsets[0], offsets[1], circles)
-        assert list(s.d_in) == [{pos0[t]: v for t, v in col.items()} for col in d_in]
-        assert list(s.d_out) == _at_rows([{pos1[t]: v for t, v in col.items()} for col in d_out], pos0)
+        assert [_entries(col) for col in s.d_in] == [{pos0[t]: v for t, v in col.items()} for col in d_in]
+        assert [_entries(col) for col in s.d_out] == _at_rows(
+            [{pos1[t]: v for t, v in col.items()} for col in d_out], pos0
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(d=_braid_knots())
@@ -665,6 +688,61 @@ class TestTableDrivenConstruction:
         assert len(knots) == 36
         for d in knots:
             self._assert_matches_reference(d)
+
+
+BASELINE_12A = "5: [4,2,-4,3,-1,-2,4,-2,-4,3,-3,-4]"
+
+
+def _dict_column_echelon(d, s):
+    """(d_in echelon, cleared) of the dict-column construction.
+
+    ``_reference_build_matrix`` builds d_in, keyed by the slice's C^0 rows,
+    and every d_-2 relation.  The first relation for each new top index is
+    checked exactly, unit entries and a zero product with d_in, and the
+    echelon takes the uncleared columns as integer dicts.
+    """
+    sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
+    circles = {m: d.resolution(m) for m in chain(sources, s.rows[-1], s.rows[0])}
+    offsets = {degree: _offsets(s.rows[degree], circles) for degree in (-1, 0)}
+    pos0 = _positions(s, 0)
+    d_in = [
+        {pos0[t]: v for t, v in col.items()}
+        for col in _reference_build_matrix(d, tuple(s.rows[-1]), offsets[-1], offsets[0], circles)
+    ]
+    cleared = set()
+    for r in _reference_build_matrix(d, sources, _offsets(sources, circles), offsets[-1], circles):
+        j = max(r)
+        if j not in cleared:
+            assert set(r.values()) <= {1, -1}
+            assert not _product(d_in, r)
+            cleared.add(j)
+    echelon = _column_echelon(dict(col) for j, col in enumerate(d_in) if j not in cleared)
+    return echelon, cleared
+
+
+class TestDictColumnEquivalence:
+    """The slice's signed row pairs against the dict-column construction:
+    the same cleared columns, and the same d_in echelon, every low and every
+    column."""
+
+    @staticmethod
+    def _assert_equivalent(d):
+        s = build_slice(d)
+        echelon, cleared = _dict_column_echelon(d, s)
+        assert s.cleared == cleared
+        assert s.din_echelon.keys() == echelon.keys()
+        for low, col in echelon.items():
+            assert s.din_echelon[low] == col
+
+    def test_table_knots(self):
+        knots = _table_knots()
+        assert len(knots) == 36
+        for d in knots:
+            self._assert_equivalent(d)
+
+    @pytest.mark.parametrize("word", ORACLE_MID_WORDS + (BASELINE_12A,))
+    def test_braid_words(self, word):
+        self._assert_equivalent(braid_closure(parse_braid(word)))
 
 
 class TestRowNumbering:
@@ -710,7 +788,7 @@ class TestCheckSliceMutations:
     @staticmethod
     def _entry(s):
         """A d_in column j and a target t of it whose d_out column is nonempty."""
-        return next((j, t) for j, col in enumerate(s.d_in) for t in col if s.d_out[t])
+        return next((j, t) for j, col in enumerate(s.d_in) for t in _entries(col) if _entries(s.d_out[t]))
 
     @staticmethod
     def _with_column(s, matrix, j, col):
@@ -718,52 +796,80 @@ class TestCheckSliceMutations:
         cols[j] = col
         return dataclasses.replace(s, **{matrix: tuple(cols)})
 
+    def _with_row_repeated(self, s, matrix, same_half):
+        """The slice with one entry's row named again: in its own half (an
+        entry 2) or in the other half (an entry 0)."""
+        j, t = self._entry(s)
+        if matrix == "d_out":
+            j, t = t, next(iter(_entries(s.d_out[t])))
+        plus, minus = getattr(s, matrix)[j]
+        if (t in plus) == same_half:
+            plus += (t,)
+        else:
+            minus += (t,)
+        return self._with_column(s, matrix, j, (plus, minus))
+
     def test_built_slice_passes(self, fig8):
         _check_slice(fig8)
 
     def test_flipped_d_out_sign(self, fig8):
         _, t = self._entry(fig8)
-        col = dict(fig8.d_out[t])
+        col = _entries(fig8.d_out[t])
         u = next(iter(col))
         col[u] = -col[u]
         with pytest.raises(ConsistencyError, match=r"d_out \. d_in != 0"):
-            _check_slice(self._with_column(fig8, "d_out", t, col))
+            _check_slice(self._with_column(fig8, "d_out", t, _signed(col)))
 
     def test_deleted_d_in_entry(self, fig8):
         j, t = self._entry(fig8)
-        col = dict(fig8.d_in[j])
+        col = _entries(fig8.d_in[j])
         del col[t]
         with pytest.raises(ConsistencyError, match=r"d_out \. d_in != 0"):
-            _check_slice(self._with_column(fig8, "d_in", j, col))
+            _check_slice(self._with_column(fig8, "d_in", j, _signed(col)))
 
     @pytest.mark.parametrize("matrix", ["d_in", "d_out"])
     def test_entry_two(self, fig8, matrix):
-        j, t = self._entry(fig8)
-        if matrix == "d_out":
-            j, t = t, next(iter(fig8.d_out[t]))
-        col = dict(getattr(fig8, matrix)[j])
-        col[t] = 2
+        # a row named twice in one half is the signed-row form of entry 2
         with pytest.raises(ConsistencyError, match="non-unit"):
-            _check_slice(self._with_column(fig8, matrix, j, col))
+            _check_slice(self._with_row_repeated(fig8, matrix, same_half=True))
+
+    @pytest.mark.parametrize("matrix", ["d_in", "d_out"])
+    def test_row_in_both_halves(self, fig8, matrix):
+        # a row named once in each half is the signed-row form of entry 0
+        with pytest.raises(ConsistencyError, match="non-unit"):
+            _check_slice(self._with_row_repeated(fig8, matrix, same_half=False))
 
     def test_entry_moved_within_its_grading(self, fig8):
         j, t = self._entry(fig8)
         q0 = fig8.gradings[0]
-        col = dict(fig8.d_in[j])
+        col = _entries(fig8.d_in[j])
         t2 = next(i for i, q in enumerate(q0)
-                  if q == q0[t] and i not in col and fig8.d_out[i] != fig8.d_out[t])
+                  if q == q0[t] and i not in col and _entries(fig8.d_out[i]) != _entries(fig8.d_out[t]))
         col[t2] = col.pop(t)
         with pytest.raises(ConsistencyError, match=r"d_out \. d_in != 0"):
-            _check_slice(self._with_column(fig8, "d_in", j, col))
+            _check_slice(self._with_column(fig8, "d_in", j, _signed(col)))
 
     def test_entry_moved_to_an_unfiltered_grading(self, fig8):
         j, t = self._entry(fig8)
         q0 = fig8.gradings[0]
         src_q = fig8.gradings[-1][j]
-        col = dict(fig8.d_in[j])
+        col = _entries(fig8.d_in[j])
         t2 = next(i for i, q in enumerate(q0) if q - src_q not in (0, 4) and i not in col)
         col[t2] = col.pop(t)
-        with pytest.raises(ConsistencyError, match="not filtered"):
+        with pytest.raises(ConsistencyError, match=f"not filtered: {src_q} -> {q0[t2]}$"):
+            _check_slice(self._with_column(fig8, "d_in", j, _signed(col)))
+
+    def test_unfiltered_message_names_the_first_entry_in_column_order(self, fig8):
+        j, _ = self._entry(fig8)
+        q0 = fig8.gradings[0]
+        src_q = fig8.gradings[-1][j]
+        plus, minus = fig8.d_in[j]
+        # the +1 rows come first in column order, then the -1 rows
+        bad = [i for i, q in enumerate(q0) if q - src_q not in (0, 4)]
+        first, last = bad[0], bad[-1]
+        assert q0[first] != q0[last]
+        col = (plus + (first,), minus + (last,))
+        with pytest.raises(ConsistencyError, match=f"not filtered: {src_q} -> {q0[first]}$"):
             _check_slice(self._with_column(fig8, "d_in", j, col))
 
 
@@ -773,18 +879,26 @@ class TestClearingMutations:
 
     @staticmethod
     def _build_with_first_relation(monkeypatch, corrupt):
+        """Build FIG8 with ``corrupt`` applied to the first d_-2 relation,
+        handed over as a pair of lists [plus rows, minus rows]."""
         build = slicebound.lee_oracle._build_matrix
 
         def building(d, sources, *args):
             cols = build(d, sources, *args)
             if sources and sources[0].bit_count() == d.n_minus - 2:
-                first = dict(next(cols))
+                first = [list(half) for half in next(cols)]
                 corrupt(first)
-                cols = chain([first], cols)
+                cols = chain([tuple(map(tuple, first))], cols)
             return cols
 
         monkeypatch.setattr(slicebound.lee_oracle, "_build_matrix", building)
         return build_slice(Diagram(FIG8.crossings))
+
+    @staticmethod
+    def _half_of_min(col):
+        """The index of the half holding the relation's lowest row, and that row."""
+        t = min(col[0] + col[1])
+        return (0 if t in col[0] else 1), t
 
     def test_intact_relations_pass(self, monkeypatch):
         s = self._build_with_first_relation(monkeypatch, lambda col: None)
@@ -792,15 +906,25 @@ class TestClearingMutations:
 
     def test_flipped_sign(self, monkeypatch):
         def flip(col):
-            t = min(col)
-            col[t] = -col[t]
+            half, t = self._half_of_min(col)
+            col[half].remove(t)
+            col[1 - half].append(t)
 
         with pytest.raises(ConsistencyError, match=r"clearing relation: d_in \. d_-2 != 0"):
             self._build_with_first_relation(monkeypatch, flip)
 
     def test_entry_two(self, monkeypatch):
         def double(col):
-            col[min(col)] *= 2
+            half, t = self._half_of_min(col)
+            col[half].append(t)
 
         with pytest.raises(ConsistencyError, match="clearing relation has a non-unit entry"):
             self._build_with_first_relation(monkeypatch, double)
+
+    def test_row_in_both_halves(self, monkeypatch):
+        def cancel(col):
+            half, t = self._half_of_min(col)
+            col[1 - half].append(t)
+
+        with pytest.raises(ConsistencyError, match="clearing relation has a non-unit entry"):
+            self._build_with_first_relation(monkeypatch, cancel)
