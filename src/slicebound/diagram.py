@@ -9,14 +9,18 @@ data is carried by the tuples themselves:
                    over-strand runs d -> b at a positive crossing,
                                     b -> d at a negative crossing
 
-``Diagram.strands`` is the one walk of the strand cycles (components, PD
-export and the PD label-run rule read it), and ``Diagram.resolution`` is the
-one routine that smooths the crossings and numbers the resulting circles.
-It walks crossing slots: slot 4i+p is position p of crossing i, a cached
-table gives the slot at the other end of each slot's edge, and the smoothing
-of crossing i joins slot 4i+p to 4i+(p^1) or 4i+(p^3).  ``UnionFind`` serves
-``Diagram.is_connected``, the signed-subgraph components of the Seifert graph
-and ``seifert.betti1_components``.
+Slot 4i+p is position p of crossing i, and ``Diagram._slot_walk`` is the
+one incidence table: the edge at each slot and the slot at the other end of
+that edge.  Everything that asks which slots an edge fills reads it:
+``validate`` (two slots per edge, each edge entered at exactly one),
+``Diagram.is_connected`` (crossings joined along edges), ``is_alternating``
+(every edge joins an even, under-strand slot to an odd, over-strand one) and
+``Diagram.resolution``, the one routine that smooths the crossings and
+numbers the resulting circles by walking slots: the smoothing of crossing i
+joins slot 4i+p to 4i+(p^1) or 4i+(p^3).  ``Diagram.strands`` is the one
+walk of the strand cycles (components, PD export and the PD label-run rule
+read it).  ``UnionFind`` serves ``Diagram.is_connected``, the signed-subgraph
+components of the Seifert graph and ``seifert.betti1_components``.
 The oriented resolution (the Seifert circles) and the signed Seifert graph on
 it are cached on the diagram like its other derived quantities, so every
 bound reads one structure.  Braid words, and ``braid_sign_condition`` with
@@ -166,12 +170,6 @@ class Diagram:
         return tuple(sorted(seen))
 
     @cached_property
-    def edge_index(self) -> dict[int, int]:
-        """Position of each edge id in ``edge_ids``: its union-find element
-        in ``is_connected``, the one user."""
-        return {e: i for i, e in enumerate(self.edge_ids)}
-
-    @cached_property
     def successor(self) -> dict[int, int]:
         """Next edge along each oriented strand (free loops map to themselves)."""
         succ: dict[int, int] = {e: e for e in self.free_loops}
@@ -207,12 +205,16 @@ class Diagram:
 
     @cached_property
     def is_connected(self) -> bool:
-        """True when the underlying 4-valent picture is a single piece."""
-        index = self.edge_index
-        uf = UnionFind(len(index))
-        for c in self.crossings:
-            for e in c.edges[1:]:
-                uf.union(index[c.edges[0]], index[e])
+        """True when the underlying 4-valent picture is a single piece.
+
+        The union-find elements are the crossings, joined along every edge
+        (slot s lies on crossing s >> 2), and then the free loops, each a
+        piece of its own.
+        """
+        _, partner, _ = self._slot_walk
+        uf = UnionFind(len(self.crossings) + len(self.free_loops))
+        for s, t in enumerate(partner):
+            uf.union(s >> 2, t >> 2)
         return uf.component_count() == 1
 
     @cached_property
@@ -222,14 +224,17 @@ class Diagram:
 
     @cached_property
     def _slot_walk(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """Tables of ``resolution``'s walk over crossing slots (slot 4i+p is
-        position p of crossing i): the edge id at each slot, the slot at the
-        other end of the same edge, and (edge id, one of its slots) by
-        ascending edge id, with slot -1 for a free loop.
+        """The diagram's one incidence table, over crossing slots (slot 4i+p
+        is position p of crossing i): the edge id at each slot, the slot at
+        the other end of the same edge (the slot itself for an edge with one
+        incidence), and (edge id, one of its slots) by ascending edge id,
+        with slot -1 for a free loop.
 
-        A walk ends only if ``partner`` is an involution, so an edge in a
-        third slot raises here: a mirror image, for one, is resolved without
-        passing through ``validate``.
+        Four readers share it: ``validate``'s structure checks,
+        ``is_connected``, ``is_alternating`` and the circle walk of
+        ``resolution``.  A walk ends only if ``partner`` is an involution, so
+        an edge in a third slot raises here: a mirror image, for one, is
+        resolved without passing through ``validate``.
         """
         edges = tuple(chain.from_iterable(c.edges for c in self.crossings))
         partner = list(range(len(edges)))
@@ -325,29 +330,24 @@ def _check_structure(d: Diagram) -> None:
     if len(set(d.free_loops)) != len(d.free_loops):
         raise ValidationError("duplicate free-loop edge id")
 
-    incidences: dict[int, int] = {}
-    heads: dict[int, int] = {}
-    tails: dict[int, int] = {}
-    for c in d.crossings:
-        for e in c.edges:
-            incidences[e] = incidences.get(e, 0) + 1
-        for e_in, e_out in ((c.under_in, c.under_out), (c.over_in, c.over_out)):
-            heads[e_out] = heads.get(e_out, 0) + 1
-            tails[e_in] = tails.get(e_in, 0) + 1
+    edges, partner, _ = d._slot_walk  # raises for an edge in a third slot
+    crossing_edges = set(edges)
     for e in d.free_loops:
-        if e in incidences:
+        if e in crossing_edges:
             raise ValidationError(f"edge {e} is both a free loop and a crossing edge")
-    for e, n in incidences.items():
-        if n != 2:
-            raise ValidationError(f"edge {e} has {n} crossing incidences, expected 2")
+    for s, t in enumerate(partner):
+        if s == t:
+            raise ValidationError(f"edge {edges[s]} has 1 crossing incidences, expected 2")
 
-    # Strand continuity: every crossing edge heads exactly one passage and
-    # tails exactly one, so the successor map is a permutation.
-    for e in incidences:
-        if heads.get(e, 0) != 1:
-            raise ValidationError(f"edge {e} is entered by {heads.get(e, 0)} strand passages, expected 1")
-        if tails.get(e, 0) != 1:
-            raise ValidationError(f"edge {e} starts {tails.get(e, 0)} strand passages, expected 1")
+    # Strand continuity: every crossing edge is entered (as under_out, slot
+    # 4i+2, or over_out, slot 4i+2-sign) at exactly one of its two slots, so
+    # it is left at the other and the successor map is a permutation.
+    entered = [False] * len(edges)
+    for i, c in enumerate(d.crossings):
+        entered[4 * i + 2] = entered[4 * i + 2 - c.sign] = True
+    for s, t in enumerate(partner):
+        if s < t and entered[s] == entered[t]:
+            raise ValidationError(f"edge {edges[s]} is entered by {2 * entered[s]} strand passages, expected 1")
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -379,17 +379,11 @@ def is_negative(d: Diagram) -> bool:
 def is_alternating(d: Diagram) -> bool:
     """True iff crossings alternate over/under along every strand.
 
-    Equivalent edge-local criterion: each crossing edge occupies exactly one
-    under-strand slot (positions 0 and 2 of a tuple) among its two incidences.
-    Crossingless components are vacuously alternating.  No reducedness check
-    is made; nugatory crossings are evaluated literally.
+    Equivalent slot-parity criterion: every edge joins an under-strand slot
+    (positions 0 and 2 of a tuple, so an even slot) to an over-strand slot
+    (an odd one), i.e. each ``_slot_walk`` partner pair has one slot of each
+    parity.  Crossingless components are vacuously alternating.  No
+    reducedness check is made; nugatory crossings are evaluated literally.
     """
-    under_slots: dict[int, int] = {}
-    for c in d.crossings:
-        for pos, e in enumerate(c.edges):
-            if pos in (0, 2):
-                under_slots[e] = under_slots.get(e, 0) + 1
-            else:
-                under_slots.setdefault(e, 0)
-    return all(n == 1 for n in under_slots.values())
-
+    _, partner, _ = d._slot_walk
+    return all((s ^ t) & 1 for s, t in enumerate(partner))

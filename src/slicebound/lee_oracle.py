@@ -62,7 +62,9 @@ builder, which resolves each such vertex as it reaches it; degree -2 is never
 stored, neither its columns nor its resolutions.  The first relation for each
 new top index is verified exactly (distinct rows, then d_in . r = 0 by
 ``_composes_to_zero``) before its column joins ``LeeComplexSlice.cleared``,
-which the ``d_in`` echelon skips.
+which the ``d_in`` echelon skips.  ``build_slice`` clears only after
+``_check_slice`` has passed, since ``_composes_to_zero`` needs the ``d_in``
+columns to have distinct rows.
 
 The slice is the one handle for every read: ``build_slice`` is the only entry
 that takes a diagram or a crossing limit, and ``canonical_cycles``,
@@ -73,7 +75,7 @@ diagram from it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from math import gcd
@@ -272,7 +274,6 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         rows[degree] = {m: pos[start:start + (1 << circles[m].count)] for m, start in off.items()}
 
     d_in = tuple(_build_matrix(d, vertices[-1], rows[0], circles))
-    cleared = _cleared_columns(d, d_in, relation_sources, rows[-1], circles)
     # d_out's columns come in (vertex, label) order; store each at its C^0 row
     d_out: list[Column] = [((), ())] * len(gradings[0])
     for row, col in zip(chain.from_iterable(rows[0].values()), _build_matrix(d, vertices[0], rows[1], circles)):
@@ -284,10 +285,11 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         gradings=gradings,
         d_in=d_in,
         d_out=tuple(d_out),
-        cleared=cleared,
+        cleared=frozenset(),
     )
+    # the clearing check reads d_in, so d_in's rows are checked distinct first
     _check_slice(slice_)
-    return slice_
+    return replace(slice_, cleared=_cleared_columns(d, d_in, relation_sources, rows[-1], circles))
 
 
 def _cleared_columns(
@@ -307,9 +309,7 @@ def _cleared_columns(
     are such relations; ``rows`` maps each C^-1 vertex to its (vertex, label)
     indices.  The first relation for each new top index is verified exactly
     before j is kept: no row may repeat, and then
-    ``_composes_to_zero(d_in, r)`` must hold.  That test also needs the
-    columns of ``d_in`` to have distinct rows, which ``_check_slice``
-    verifies before ``build_slice`` returns the slice.  The targets are read
+    ``_composes_to_zero(d_in, r)`` must hold.  The targets are read
     straight from ``d_in``: a relation touches few columns, and each column
     is touched by about one relation.
 

@@ -20,6 +20,18 @@ from slicebound.cli import bundled_table_path, main, run_fuzz, run_table
 
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
+FUZZ_1000_SEED_42 = """\
+fuzz: count=1000 strands<=5 max_length=12 seed=42 oracle=off
+cases: 1000  knots: 239  links: 761  split: 350
+  betti_equals_delta: 1000/1000
+  dominance: 239/239
+  link_reduction: 239/239
+  mirror_identity: 1000/1000
+  parity: 239/239
+  structure: 1000/1000
+  tightness: 1000/1000
+PASS
+"""
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +64,15 @@ class TestBoundCommand:
         assert code == 2
         assert not out
         assert "error" in err
+
+    @pytest.mark.parametrize("pd, err", [
+        ("X[1,1,1,2] X[2,3,3,4]", "error: edge 1 fills more than two crossing slots\n"),
+        ("X[2,4,1,5] X[3,6,4,1] X[5,2,6,3]", "error: edge 2 is entered by 0 strand passages, expected 1\n"),
+        ("X[1,5,3,4] X[2,1,4,6] X[5,2,6,3]",
+         "error: component containing edge 1 is not a consecutive label run; incoherent cycles\n"),
+    ])
+    def test_malformed_pd_exit_2(self, capsys, pd, err):
+        assert run_cli(capsys, "bound", "--pd", pd) == (2, "", err)
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "bound")
@@ -352,6 +373,10 @@ class TestFrozenCorpus:
         count = str(goldens["fuzz"]["count"])
         for seed, text in goldens["fuzz"]["batches"].items():
             assert run_cli(capsys, "fuzz", "--count", count, "--seed", seed) == (0, text, ""), seed
+
+    def test_standing_fuzz_gate(self, capsys):
+        # is_connected decides the split count
+        assert run_cli(capsys, "fuzz", "--count", "1000", "--seed", "42") == (0, FUZZ_1000_SEED_42, "")
 
     def test_table_with_oracle(self, goldens, capsys):
         assert run_cli(capsys, "table", "--oracle") == (0, goldens["table"], "")

@@ -1,6 +1,8 @@
 """Diagram model: validation, strands, mirror, and the tightness-class predicates."""
 
 import csv
+from collections import Counter
+from functools import cached_property
 from itertools import chain
 
 import pytest
@@ -129,8 +131,8 @@ class TestStrands:
 def _resolution_reference(d, mask):
     """``Diagram.resolution`` by union-find over the smoothing pairs: the
     circles are the classes of the edge ids, numbered by minimum edge id."""
-    index = d.edge_index
-    uf = UnionFind(len(d.edge_ids))
+    index = {e: i for i, e in enumerate(d.edge_ids)}
+    uf = UnionFind(len(index))
     for i, c in enumerate(d.crossings):
         a, b, cc, dd = c.edges
         for x, y in ((a, dd), (b, cc)) if mask >> i & 1 else ((a, b), (cc, dd)):
@@ -184,15 +186,137 @@ class TestResolution:
             Diagram((Crossing((1, 1, 1, 2), 1),)).resolution(0)
 
 
-class TestEdgeIndex:
-    def test_positions_of_the_sorted_edge_ids_built_once(self):
-        d = braid_closure(BraidWord(3, (1, -2, 1, -2)))
-        assert d.edge_index == {e: i for i, e in enumerate(d.edge_ids)}
-        assert d.is_connected
-        index = d.edge_index
-        d.resolution(0)
+def _check_structure_reference(d):
+    """``validate``'s structure checks from three per-edge tallies
+    (incidences, strand heads and strand tails) instead of the slot table."""
+    if not d.crossings and not d.free_loops:
+        raise ValidationError("empty diagram: no crossings and no free loops")
+    if len(set(d.free_loops)) != len(d.free_loops):
+        raise ValidationError("duplicate free-loop edge id")
+    incidences, heads, tails = {}, {}, {}
+    for c in d.crossings:
+        for e in c.edges:
+            incidences[e] = incidences.get(e, 0) + 1
+        for e_in, e_out in ((c.under_in, c.under_out), (c.over_in, c.over_out)):
+            heads[e_out] = heads.get(e_out, 0) + 1
+            tails[e_in] = tails.get(e_in, 0) + 1
+    for e in d.free_loops:
+        if e in incidences:
+            raise ValidationError(f"edge {e} is both a free loop and a crossing edge")
+    for e, n in incidences.items():
+        if n != 2:
+            raise ValidationError(f"edge {e} has {n} crossing incidences, expected 2")
+    for e in incidences:
+        if heads.get(e, 0) != 1:
+            raise ValidationError(f"edge {e} is entered by {heads.get(e, 0)} strand passages, expected 1")
+        if tails.get(e, 0) != 1:
+            raise ValidationError(f"edge {e} starts {tails.get(e, 0)} strand passages, expected 1")
+
+
+def _is_connected_reference(d):
+    """``Diagram.is_connected`` by union-find over the edge ids, each
+    crossing joining its four edges."""
+    index = {e: i for i, e in enumerate(d.edge_ids)}
+    uf = UnionFind(len(index))
+    for c in d.crossings:
+        for e in c.edges[1:]:
+            uf.union(index[c.edges[0]], index[e])
+    return uf.component_count() == 1
+
+
+def _is_alternating_reference(d):
+    """``is_alternating`` by counting each edge's under-strand slots: exactly
+    one of its two incidences is at position 0 or 2."""
+    under_slots = {}
+    for c in d.crossings:
+        for pos, e in enumerate(c.edges):
+            under_slots[e] = under_slots.get(e, 0) + (pos in (0, 2))
+    return all(n == 1 for n in under_slots.values())
+
+
+def _refusal(check, d):
+    """The ValidationError message ``check(d)`` raises, or None."""
+    try:
+        check(d)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _crossing_tuples(draw):
+    """Crossings over a small edge alphabet, with signs and free loops.
+    Half the draws give every edge exactly two slots, so that orientation
+    and the free loops decide validity."""
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        edges = draw(st.permutations([e for e in range(1, 2 * n + 1) for _ in range(2)]))
+    else:
+        edges = draw(st.lists(st.integers(1, 6), min_size=4 * n, max_size=4 * n))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    loops = draw(st.lists(st.integers(1, 2 * n + 2), max_size=2))
+    return Diagram(tuple(Crossing(tuple(edges[4 * i:4 * i + 4]), sign) for i, sign in enumerate(signs)),
+                   tuple(loops))
+
+
+class TestSlotTable:
+    """The readers of ``Diagram._slot_walk`` against the per-edge references."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(d=_crossing_tuples())
+    def test_random_crossing_tuples(self, d):
+        refusal = _refusal(slicebound.diagram._check_structure, d)
+        expected = _refusal(_check_structure_reference, d)
+        assert (refusal is None) == (expected is None)
+        if max(Counter(chain.from_iterable(c.edges for c in d.crossings)).values(), default=0) <= 2:
+            assert refusal == expected
+        if expected is None:
+            assert d.is_connected == _is_connected_reference(d)
+            assert is_alternating(d) == _is_alternating_reference(d)
+
+    @staticmethod
+    def _assert_readers(d):
+        assert d.is_connected == _is_connected_reference(d)
+        assert is_alternating(d) == _is_alternating_reference(d)
+
+    @given(d=_braid_closures())
+    def test_braid_closures_and_mirrors(self, d):
+        self._assert_readers(d)
+        self._assert_readers(mirror(d))
+
+    def test_table_knots(self):
+        for d in _table_knots():
+            self._assert_readers(d)
+
+    def test_free_loops_and_a_kink(self):
+        split = braid_closure(BraidWord(4, (1, -1)))
+        kink = braid_closure(BraidWord(2, (1,)))
+        for d in (split, kink):
+            self._assert_readers(d)
+        assert not split.is_connected and kink.is_connected
+
+    def test_one_table_serves_every_reader(self, monkeypatch):
+        walk = Diagram._slot_walk.func
+        built = []
+
+        def counting(d):
+            built.append(d)
+            return walk(d)
+
+        table = cached_property(counting)
+        table.__set_name__(Diagram, "_slot_walk")
+        monkeypatch.setattr(Diagram, "_slot_walk", table)
+        readers = (validate, lambda d: d.is_connected, is_alternating, lambda d: d.resolution(0))
+        for read in readers:  # each reader builds the table on a fresh diagram
+            d = Diagram(FIG8.crossings)
+            read(d)
+            assert built == [d]
+            built.clear()
+        d = Diagram(FIG8.crossings)
+        for read in readers:
+            read(d)
         d.resolution(d.oriented_mask)
-        assert d.edge_index is index
+        assert built == [d]
 
 
 class TestMirror:

@@ -24,6 +24,11 @@
 * The strand cycles are walked in one place: ``Diagram.strands`` is the only
   function that reads the successor map, and the component count, the PD
   export and the PD label-run rule read ``strands``.
+* Which crossing slots an edge fills is tabled in one place:
+  ``Diagram._slot_walk`` is the incidence table, and ``_check_structure``
+  (behind ``validate``), ``is_connected``, ``is_alternating`` and
+  ``resolution`` read it.  The first three build no per-edge dict of their
+  own.
 """
 
 import ast
@@ -159,3 +164,17 @@ def test_the_oracle_command_never_reduces():
 def test_only_knot_s_and_the_oracle_command_run_the_oracle():
     for entry in ("build_slice", "s_invariant"):
         assert sorted(_callers(entry, skip={"lee_oracle.py"})) == ["checks.py:knot_s", "cli.py:cmd_oracle"]
+
+
+def _builds_a_dict(node):
+    return isinstance(node, (ast.Dict, ast.DictComp)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "Counter", "defaultdict"))
+
+
+def test_the_slot_table_is_the_one_incidence_table():
+    functions = {node.name: node for node in ast.walk(_trees()["diagram.py"]) if isinstance(node, ast.FunctionDef)}
+    for reader in ("_check_structure", "is_connected", "is_alternating", "resolution"):
+        assert "_slot_walk" in _names(functions[reader]), reader
+    for reader in ("_check_structure", "is_connected", "is_alternating"):
+        assert not any(map(_builds_a_dict, ast.walk(functions[reader]))), reader

@@ -928,3 +928,21 @@ class TestClearingMutations:
 
         with pytest.raises(ConsistencyError, match="clearing relation has a non-unit entry"):
             self._build_with_first_relation(monkeypatch, cancel)
+
+    def test_d_in_is_checked_before_the_relations_read_it(self, monkeypatch):
+        # a d_in column that clearing reads, with one row named twice: the
+        # slice check reports the entry 2, not a failed relation
+        j = min(build_slice(FIG8).cleared)
+        build = slicebound.lee_oracle._build_matrix
+
+        def building(d, sources, *args):
+            cols = build(d, sources, *args)
+            if sources and sources[0].bit_count() == d.n_minus - 1:
+                cols = list(cols)
+                plus, minus = cols[j]
+                cols[j] = (plus + plus[:1], minus) if plus else (plus, minus + minus[:1])
+            return cols
+
+        monkeypatch.setattr(slicebound.lee_oracle, "_build_matrix", building)
+        with pytest.raises(ConsistencyError, match="differential has a non-unit entry"):
+            build_slice(Diagram(FIG8.crossings))
