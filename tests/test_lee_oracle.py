@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
@@ -36,6 +38,7 @@ from slicebound.lee_oracle import (
     _check_slice,
     _column_echelon,
     _composes_to_zero,
+    _crossing_order,
     _reduce_against,
     _row_order,
     _strip,
@@ -451,7 +454,7 @@ class TestPivotOrderAndClearing:
                 pivots[min(red)] = red
 
     def test_tie_order_keeps_din_fill_low(self):
-        # a count, not a timing: ascending ties give 31.8 nonzeros per pivot
+        # a count, not a timing: ascending ties give 32.2 nonzeros per pivot
         d = braid_closure(BraidWord(3, (-1, -2, 2, -2, -1, 1, -1, -1, 1, 2)))
         pivots = build_slice(d).din_echelon
         assert len(pivots) == 2468
@@ -523,6 +526,7 @@ class TestClearing:
     @staticmethod
     def _assert_clearing_is_exact(d):
         s = build_slice(d)
+        d = s.diagram  # the masks of ``rows`` are over its crossing numbering
         assert s.din_echelon == _column_echelon(map(_entries, s.d_in))
         assert s.cleared <= _zero_columns(s.d_in)
         # no d_-2 vertex skipped as already covered could have added an index
@@ -552,7 +556,129 @@ class TestClearing:
         s = build_slice(braid_closure(parse_braid(ORACLE_MID_WORDS[0])))
         reduced = calls(slicebound.lee_oracle, "_reduce_against")
         assert len(s.din_echelon) == 2468
-        assert (s.dim(-1), len(s.cleared), len(reduced)) == (5292, 2264, 3028)
+        assert (s.dim(-1), len(s.cleared), len(reduced)) == (5292, 2748, 2544)
+
+    def test_few_d_in_columns_reduce_to_zero(self):
+        # a count, not a timing: in the given crossing numbering the echelon
+        # reduces 1570 uncleared columns of these five slices to zero
+        zero = 0
+        for word in ORACLE_MID_WORDS:
+            s = build_slice(braid_closure(parse_braid(word)))
+            zero += len(_zero_columns([col for j, col in enumerate(s.d_in) if j not in s.cleared]))
+        assert zero <= 300
+
+
+# --- the crossing numbering the slice is built in --------------------------
+
+
+def _identity_order(d, given):
+    return list(range(len(d.crossings)))
+
+
+def _invariants(s):
+    """What no crossing numbering may change: s, the profile, the dims,
+    rank d_in and the multiset of the gradings of its echelon lows."""
+    return (
+        s_invariant(s),
+        filtration_profile(s),
+        (s.dim(-1), s.dim(0), s.dim(1)),
+        len(s.din_echelon),
+        Counter(s.gradings[0][low] for low in s.din_echelon),
+    )
+
+
+def _naive_scores(d):
+    """count(u | 1 << i) - count(u) summed over the degree -1 vertices u
+    without crossing i, each circle count from ``Diagram.resolution``."""
+    n = len(d.crossings)
+    masks = [m for m in range(1 << n) if m.bit_count() == d.n_minus - 1]
+    return [
+        sum(d.resolution(u | 1 << i).count - d.resolution(u).count for u in masks if not u >> i & 1)
+        for i in range(n)
+    ]
+
+
+def _assert_zero_columns_off_top_merge(s):
+    """Every d_in column that the full echelon reduces to zero and whose
+    vertex u lacks the top crossing t sits where flipping t merges two
+    circles of u: no relation can clear it, which is why the top crossing
+    should split."""
+    d = s.diagram
+    if not d.crossings:
+        return
+    t = 1 << len(d.crossings) - 1
+    zero = _zero_columns(s.d_in)
+    for u, block in s.rows[-1].items():
+        if not u & t and zero.intersection(block):
+            assert d.resolution(u | t).count < d.resolution(u).count
+
+
+class TestCrossingOrder:
+    @staticmethod
+    def _assert_numbering_invariant(d, rng):
+        """The slice of ``d`` and of ``d`` under a random crossing
+        permutation, each built in its own order and in the order given,
+        agree on every invariant."""
+        permuted = d.renumbered(rng.sample(range(len(d.crossings)), len(d.crossings)))
+        expected = _invariants(build_slice(d))
+        slices = [build_slice(permuted)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(slicebound.lee_oracle, "_crossing_order", _identity_order)
+            for diagram in (d, permuted):
+                slices.append(build_slice(diagram))
+                assert slices[-1].diagram is diagram
+        for s in slices:
+            assert _invariants(s) == expected
+            _assert_zero_columns_off_top_merge(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=_braid_knots(), seed=st.integers(0, 2**32 - 1))
+    @example(d=MIXED, seed=0)
+    @example(d=FIG8, seed=0)
+    @example(d=mirror(TREFOIL), seed=0)
+    def test_braid_knots(self, d, seed):
+        self._assert_numbering_invariant(d, random.Random(seed))
+
+    def test_table_knots(self):
+        rng = random.Random(1)
+        for d in _table_knots():
+            self._assert_numbering_invariant(d, rng)
+
+    @pytest.mark.parametrize("word", ORACLE_MID_WORDS)
+    def test_oracle_mid_knots(self, word):
+        self._assert_numbering_invariant(braid_closure(parse_braid(word)), random.Random(word))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=_braid_knots())
+    @example(d=FIG8)
+    @example(d=mirror(TREFOIL))
+    def test_order_sorts_by_the_naive_score(self, d):
+        n = len(d.crossings)
+        given = {m: d.resolution(m) for m in range(1 << n) if m.bit_count() == d.n_minus - 1}
+        order = _crossing_order(d, given)
+        scores = _naive_scores(d)
+        assert order == sorted(range(n), key=lambda i: (scores[i], i))
+        assert order == _crossing_order(d, dict(reversed(given.items())))  # deterministic
+        if n:
+            assert scores[order[-1]] == max(scores)
+        s = build_slice(d)
+        assert s.diagram.crossings == tuple(d.crossings[i] for i in order)
+
+    @pytest.mark.parametrize("word", ["1: []", "2: [1]", "2: [1,1,1]", "3: [1,2,1,2]"])
+    def test_no_degree_minus_one_vertex_keeps_the_given_order(self, word):
+        d = braid_closure(parse_braid(word))
+        assert d.n_minus == 0
+        assert _crossing_order(d, {}) == list(range(len(d.crossings)))
+        assert build_slice(d).diagram is d
+
+    def test_one_negative_crossing(self):
+        # the only degree -1 vertex is the empty mask, and flipping the one
+        # crossing of 2: [-1] splits the one circle of its 0-smoothing
+        d = braid_closure(parse_braid("2: [-1]"))
+        assert _naive_scores(d) == [1]
+        assert _crossing_order(d, {0: d.resolution(0)}) == [0]
+        s = build_slice(d)
+        assert s.diagram is d and s_invariant(s) == 0
 
 
 # --- table-driven cube construction against the accumulate-style builder ---
@@ -661,6 +787,7 @@ class TestTableDrivenConstruction:
     @staticmethod
     def _assert_matches_reference(d):
         s = build_slice(d)
+        d = s.diagram  # the masks of ``rows`` are over its crossing numbering
         circles = {m: d.resolution(m) for masks in s.rows.values() for m in masks}
         grades = _index_gradings(d, s)
         pos0, pos1 = _positions(s, 0), _positions(s, 1)
@@ -728,7 +855,7 @@ class TestDictColumnEquivalence:
     @staticmethod
     def _assert_equivalent(d):
         s = build_slice(d)
-        echelon, cleared = _dict_column_echelon(d, s)
+        echelon, cleared = _dict_column_echelon(s.diagram, s)
         assert s.cleared == cleared
         assert s.din_echelon.keys() == echelon.keys()
         for low, col in echelon.items():
