@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
 
 
 class ValidationError(ValueError):
@@ -294,25 +293,6 @@ class Diagram:
                     f"crossing {i} smooths onto a single circle; orientation data invalid"
                 )
         return circles
-
-    def renumbered(self, order: Sequence[int]) -> Diagram:
-        """The same diagram with its crossings listed in ``order``: crossing
-        k of the copy is crossing ``order[k]`` here.  The identity order
-        returns the diagram itself.
-
-        Only the crossing numbering changes, so cube masks, the slot table
-        and the Seifert graph's crossing labels are derived afresh, while the
-        Seifert circles, numbered by edge id, are shared: the oriented
-        resolution is walked once for both.
-        """
-        n = len(self.crossings)
-        if sorted(order) != list(range(n)):
-            raise ValueError(f"crossing order {list(order)} is not a permutation of range({n})")
-        if all(k == i for k, i in enumerate(order)):
-            return self
-        copy = Diagram(tuple(self.crossings[i] for i in order), self.free_loops)
-        copy.__dict__["seifert_circles"] = self.seifert_circles  # as cached_property stores it
-        return copy
 
     @cached_property
     def seifert_graph(self) -> SeifertGraph:

@@ -8,11 +8,11 @@ degree-0 cycles inside C^0 / im(d_-1).
 Conventions (calibrated so the 0-crossing unknot has gradings {-1, +1} and
 s(unknot) = 0):
 
-* cube vertex v is a bitmask over the crossings of the slice's diagram, a
-  renumbered copy of the input (see Crossing numbering below), and its
-  circles are ``Diagram.resolution(v)``: bit i = 1 takes the smoothing pairing
-  {a,d},{b,c} at crossing i, bit 0 takes {a,b},{c,d}; circle ids go by
-  minimum edge id;
+* cube vertex v is a bitmask over the crossings of the diagram, bit i for
+  crossing i as the input numbers them (the vertex order is separate, see
+  Vertex order below), and its circles are ``Diagram.resolution(v)``: bit
+  i = 1 takes the smoothing pairing {a,d},{b,c} at crossing i, bit 0 takes
+  {a,b},{c,d}; circle ids go by minimum edge id;
 * homological degree of v is |v| - n_minus; the oriented resolution sits at
   ``Diagram.oriented_mask``, bits set exactly at negative crossings, and is
   the diagram's cached ``seifert_circles``;
@@ -67,20 +67,21 @@ which the ``d_in`` echelon skips.  ``build_slice`` clears only after
 ``_check_slice`` has passed, since ``_composes_to_zero`` needs the ``d_in``
 columns to have distinct rows.
 
-Crossing numbering: a relation's top index always lies in the block of a
-C^-1 vertex that contains the highest-numbered crossing t, so only those
-blocks can be cleared, and which crossing takes the highest bit decides how
-much of ker d_in (which is im d_-2: Lee homology of a knot lives in degree 0)
-the clearing reaches.  A column of a block without t reduces to zero only
-where flipping t merges two circles (``_cleared_columns``), so
-``build_slice`` resolves the degree -1 vertices first, orders the crossings
-by ``_crossing_order`` so that a crossing whose flip splits a circle at the
-most of them comes last, and builds the slice on
-``Diagram.renumbered`` in that order, reusing the degree -1 resolutions
-under their translated masks.  ``s``, the profile and the dims are
-invariants of the diagram, so the numbering changes only the cost: on the
-five ``oracle-mid`` words the echelon reduces 246 uncleared columns to zero
-instead of 1570.
+Vertex order: every degree lists its vertices in ascending order of the
+weight that gives the k-th crossing of ``_crossing_order`` the value 2^k
+(``_vertices``).  A relation's top index then always lies in the block of a
+C^-1 vertex that contains the last crossing t of that order, so which
+crossing comes last decides how much of ker d_in (which is im d_-2: Lee
+homology of a knot lives in degree 0) the clearing reaches.  A column of a
+block without t reduces to zero only where flipping t merges two circles
+(``_cleared_columns``), so ``build_slice`` resolves the degree -1 vertices
+first and ``_crossing_order`` puts last a crossing whose flip splits a
+circle at the most of them.  Masks and cube edge signs keep the input's
+crossing numbering: sign rules under which every square anticommutes differ
+by one sign per vertex, so the elimination takes the same steps, up to sign,
+in any numbering.  The order changes only the cost: on the five
+``oracle-mid`` words the echelon reduces 246 uncleared columns to zero
+instead of 1570 in ascending mask order.
 
 The slice is the one handle for every read: ``build_slice`` is the only entry
 that takes a diagram or a crossing limit, and ``canonical_cycles``,
@@ -118,24 +119,23 @@ class LeeComplexSlice:
 
     Generators of degree i are (vertex mask, label mask) pairs with
     |mask| = n_minus + i; label bit j = 1 labels circle j with v_minus.
-    Masks are over the crossings of ``diagram``, which ``build_slice``
-    renumbers from its input (``_crossing_order``): read every mask of
-    ``rows`` against ``diagram``, not against the diagram passed in.  The
-    index of a generator is ``rows[i][mask][label]``, and ``rows[i]`` lists
-    the vertices of degree i in ascending mask order.  C^0 and C^1 are
-    numbered by filtration row, so ``gradings[0]`` and ``gradings[1]``
-    ascend.  C^-1 is numbered by (vertex, label) order, each vertex's labels
-    one block after the previous vertex's: it is the order in which the
-    ``d_in`` echelon takes its columns, and a different column order changes
-    fill-in.  ``d_in`` maps C^-1 -> C^0 and ``d_out`` maps C^0 -> C^1,
-    stored one immutable signed row pair (``Column``) per source generator:
-    the target rows of its +1 entries, then those of its -1 entries, no row
-    named twice (``_check_slice``).  The echelons turn a column into a
-    {row: +-1} dict only when they reduce it.
+    ``diagram`` is the diagram passed to ``build_slice``, and masks are over
+    its crossings.  The index of a generator is ``rows[i][mask][label]``,
+    and ``rows[i]`` lists the vertices of degree i in ``_vertices`` order:
+    ascending, with the k-th crossing of ``_crossing_order`` worth 2^k.  C^0
+    and C^1 are numbered by filtration row, so ``gradings[0]`` and
+    ``gradings[1]`` ascend.  C^-1 is numbered by (vertex, label) order, each
+    vertex's labels one block after the previous vertex's: it is the order
+    in which the ``d_in`` echelon takes its columns, and a different column
+    order changes fill-in.  ``d_in`` maps C^-1 -> C^0 and ``d_out`` maps
+    C^0 -> C^1, stored one immutable signed row pair (``Column``) per source
+    generator: the target rows of its +1 entries, then those of its -1
+    entries, no row named twice (``_check_slice``).  The echelons turn a
+    column into a {row: +-1} dict only when they reduce it.
     """
 
     diagram: Diagram
-    rows: dict[int, dict[int, Sequence[int]]]  # degree -> {mask: row of each label}, masks ascending
+    rows: dict[int, dict[int, Sequence[int]]]  # degree -> {mask: row of each label}, in _vertices order
     gradings: dict[int, tuple[int, ...]]  # degree -> q per generator
     d_in: tuple[Column, ...]
     d_out: tuple[Column, ...]
@@ -203,8 +203,6 @@ def _build_matrix(
             if m >> i & 1:
                 continue
             m2 = m | 1 << i
-            if m2 not in tgt_rows:
-                continue
             half = minus if (m & ((1 << i) - 1)).bit_count() % 2 else plus
             cb = circles[m2]
             rows = tgt_rows[m2]
@@ -246,9 +244,9 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     Refuses diagrams beyond ``max_crossings`` (the degree-0 vertex count is
     C(n, n_minus) and every vertex carries 2^circles generators).  The
     degree -1 vertices are resolved first: their circles give the crossing
-    numbering (``_crossing_order``) of the copy of ``d`` the slice is built
-    on and keeps as its ``diagram``, and they are reused there under the
-    renumbered masks.  The columns of d_-2 are streamed by
+    order (``_crossing_order``) in which ``_vertices`` lists the vertices of
+    every degree.  Masks keep the crossing numbering of ``d``, which the
+    slice keeps as its ``diagram``.  The columns of d_-2 are streamed by
     ``_cleared_columns`` and not kept.
     """
     validate(d)
@@ -261,31 +259,10 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         )
     n_minus = d.n_minus
 
-    # degree -1 is resolved in the given numbering; from here on, d is the
-    # renumbered copy and each resolution is keyed by its translated mask
-    combos = list(combinations(range(n), n_minus - 1)) if n_minus else []
-    given: dict[int, SeifertCircles] = {}
-    for combo in combos:
-        m = sum(1 << i for i in combo)
-        given[m] = d.resolution(m)
-    perm = _crossing_order(d, given)
-    d = d.renumbered(perm)
-    bit = [0] * n  # given crossing -> its bit in the renumbered diagram
-    for k, i in enumerate(perm):
-        bit[i] = 1 << k
-    circles = {sum(bit[i] for i in combo): c for combo, c in zip(combos, given.values())}
-
-    vertices: dict[int, tuple[int, ...]] = {-1: tuple(sorted(circles))}
-    for degree in (-2, 0, 1):
-        weight = n_minus + degree
-        if 0 <= weight <= n:
-            masks = sorted(
-                sum(1 << i for i in combo) for combo in combinations(range(n), weight)
-            )
-        else:
-            masks = []
-        vertices[degree] = tuple(masks)
-    relation_sources = vertices.pop(-2)
+    # the degree -1 vertices are resolved first: their circles order the cube
+    circles = {m: d.resolution(m) for m in _vertices(range(n), n_minus - 1)}
+    perm = _crossing_order(d, circles)
+    vertices = {degree: _vertices(perm, n_minus + degree) for degree in (-1, 0, 1)}
 
     # the oriented resolution (a degree-0 vertex) is the diagram's cached one
     circles[d.oriented_mask] = d.seifert_circles
@@ -326,7 +303,19 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     )
     # the clearing check reads d_in, so d_in's rows are checked distinct first
     _check_slice(slice_)
-    return replace(slice_, cleared=_cleared_columns(d, d_in, relation_sources, rows[-1], circles))
+    sources = _vertices(perm, n_minus - 2)
+    return replace(slice_, cleared=_cleared_columns(d, perm, d_in, sources, rows[-1], circles))
+
+
+def _vertices(perm: Sequence[int], weight: int) -> tuple[int, ...]:
+    """The masks of ``weight`` crossings, ascending with crossing ``perm[k]``
+    worth 2^k: combinations of the positions n-1, ..., 0 come in descending
+    weight, so their reverse ascends."""
+    if weight < 0:
+        return ()
+    bit = [1 << i for i in perm]
+    positions = range(len(bit) - 1, -1, -1)
+    return tuple(sum(bit[k] for k in combo) for combo in reversed(list(combinations(positions, weight))))
 
 
 def _crossing_order(d: Diagram, given: dict[int, SeifertCircles]) -> list[int]:
@@ -338,9 +327,9 @@ def _crossing_order(d: Diagram, given: dict[int, SeifertCircles]) -> list[int]:
     where it merges two.  Bit 0 smooths crossing (a, b, c, d) into the arcs
     {a,b} and {c,d}, so flipping it splits exactly when edges a and c lie on
     one circle of u.  Every crossing is missing from equally many degree -1
-    vertices, so the last crossing, which takes the highest bit, splits at
-    the most of them (``_cleared_columns`` says why that matters).  Without
-    a degree -1 vertex every score is 0 and the order is the identity.
+    vertices, so the last crossing, which weighs most in ``_vertices``,
+    splits at the most of them (``_cleared_columns`` says why).  Without a
+    degree -1 vertex every score is 0 and the order is the identity.
     """
     ends = [(c.edges[0], c.edges[2]) for c in d.crossings]
     score = [0] * len(ends)
@@ -354,6 +343,7 @@ def _crossing_order(d: Diagram, given: dict[int, SeifertCircles]) -> list[int]:
 
 def _cleared_columns(
     d: Diagram,
+    perm: list[int],
     d_in: tuple[Column, ...],
     sources: tuple[int, ...],
     rows: dict[int, Sequence[int]],
@@ -373,26 +363,26 @@ def _cleared_columns(
     straight from ``d_in``: a relation touches few columns, and each column
     is touched by about one relation.
 
-    Every top index of a vertex w lies in the block of its highest target
-    vertex, w plus the highest crossing not in w, because C^-1 numbers its
-    vertices in ascending mask order.  A vertex whose top block is already
-    all cleared can add nothing, so it is neither resolved nor built.
+    Every top index of a vertex w lies in the block of its last target
+    vertex, w plus the last crossing of ``perm`` not in w, because C^-1
+    lists its vertices in ascending ``perm``-weighted order (``_vertices``).
+    A vertex whose top block is already all cleared can add nothing, so it
+    is neither resolved nor built.
 
-    So the top crossing t = n - 1 decides which blocks can clear: the block
-    of a vertex u without t is never a top block, and any of its columns
-    that reduce to zero stay in the echelon.  Those blocks come first in
-    column order, and among them only u reaches the C^0 vertex u + t, so a
-    column of u's block reduces to zero only if the edge map u -> u + t has
-    a kernel, that is, only if flipping t merges two circles of u (Delta is
-    injective, the merge is not).  ``build_slice`` therefore numbers the
-    crossings so that t is a crossing whose flip splits a circle at the most
-    such u (``_crossing_order``).
+    So the top crossing t = ``perm[-1]`` decides which blocks can clear:
+    the block of a vertex u without t is never a top block, and any of its
+    columns that reduce to zero stay in the echelon.  Those blocks come
+    first in column order, and among them only u reaches the C^0 vertex
+    u + t, so a column of u's block reduces to zero only if the edge map
+    u -> u + t has a kernel, that is, only if flipping t merges two circles
+    of u (Delta is injective, the merge is not).  ``build_slice`` therefore
+    orders the crossings so that t is a crossing whose flip splits a circle
+    at the most such u (``_crossing_order``).
     """
-    full = (1 << len(d.crossings)) - 1
     cleared: set[int] = set()
     filled = dict.fromkeys(rows, 0)  # C^-1 vertex -> cleared indices in its block
     for w in sources:
-        top = w | 1 << ((full & ~w).bit_length() - 1)
+        top = w | 1 << next(i for i in reversed(perm) if not w >> i & 1)
         if filled[top] == len(rows[top]):
             continue
         for r in _build_matrix(d, (w,), rows, circles):
@@ -530,11 +520,11 @@ def canonical_cycles(s: LeeComplexSlice) -> tuple[CanonicalCycle, CanonicalCycle
 # Within one grading, rows go by descending (vertex, label) index.  The
 # grading of each low and the rank of each grading-bounded prefix do not
 # depend on that tie order, but fill-in does: on the 10-crossing word
-# 3: [-1,-2,2,-2,-1,1,-1,-1,1,2], in the crossing numbering of
-# ``_crossing_order``, ascending ties give the d_in echelon 32.2 nonzeros per
-# pivot, descending ties 7.0, for the same rank 2468 (31.8 and 6.7 in the
-# given numbering).  The columns of d_in are taken in (vertex, label) order
-# of C^-1, which is why C^-1 is not renumbered.
+# 3: [-1,-2,2,-2,-1,1,-1,-1,1,2], in the vertex order of ``_vertices``,
+# ascending ties give the d_in echelon 32.2 nonzeros per pivot, descending
+# ties 7.0, for the same rank 2468 (31.8 and 6.7 with the vertices in
+# ascending mask order).  The columns of d_in are taken in (vertex, label)
+# order of C^-1, which is why C^-1 is not sorted by grading.
 #
 # Stored pivots are primitive.  A working column is reduced in place: when
 # the pivot entry divides the column entry it subtracts that multiple of the

@@ -346,31 +346,6 @@ class TestMirror:
             assert m.components == d.components
 
 
-class TestRenumbered:
-    @settings(max_examples=60, deadline=None)
-    @given(d=_braid_closures(max_letters=8), data=st.data())
-    def test_resolutions_follow_their_crossings(self, d, data):
-        order = data.draw(st.permutations(range(len(d.crossings))))
-        r = d.renumbered(order)
-        assert r.crossings == tuple(d.crossings[i] for i in order)
-        assert r.free_loops == d.free_loops
-        validate(r)
-        assert r.seifert_circles is d.seifert_circles
-        assert r.seifert_circles == r.resolution(r.oriented_mask)
-        for mask in range(1 << len(d.crossings)):
-            moved = sum(1 << k for k, i in enumerate(order) if mask >> i & 1)
-            assert r.resolution(moved) == d.resolution(mask)
-
-    def test_identity_returns_the_diagram(self):
-        assert FIG8.renumbered(range(4)) is FIG8
-        assert UNKNOT0.renumbered([]) is UNKNOT0
-
-    @pytest.mark.parametrize("order", [[0, 1, 2], [0, 1, 2, 2], [1, 2, 3, 4]])
-    def test_not_a_permutation_is_refused(self, order):
-        with pytest.raises(ValueError, match="not a permutation"):
-            FIG8.renumbered(order)
-
-
 class TestSignPredicates:
     def test_trefoil_positive(self):
         assert is_positive(TREFOIL) and not is_negative(TREFOIL)

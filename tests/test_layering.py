@@ -15,7 +15,9 @@
 * ``lee_oracle`` defines one matrix builder, which ``build_slice`` calls for
   both differentials and ``_cleared_columns``, called by ``build_slice``,
   for the d_-2 relations; ``build_slice`` runs ``_check_slice`` on every
-  slice it returns.  ``_check_slice`` and ``_column_echelon`` stay
+  slice it returns, and is the only caller of ``_crossing_order``: the
+  crossing order only sets the order of the cube's vertices, inside the one
+  build.  ``_check_slice`` and ``_column_echelon`` stay
   module-level functions: the benchmark traces them by name.
 * The oracle is reached in two places outside ``lee_oracle``: ``knot_s``,
   which computes s on the reduced braid word and is the only caller of
@@ -29,6 +31,8 @@
   (behind ``validate``), ``is_connected``, ``is_alternating`` and
   ``resolution`` read it.  The first three build no per-edge dict of their
   own.
+* No module assigns into an object's ``__dict__``: a cached property is
+  filled by computing it, never by writing its cache slot.
 """
 
 import ast
@@ -152,6 +156,27 @@ def _callers(name, skip=()):
 
 def test_only_knot_s_reduces_braid_words():
     assert _callers("reduce_braid") == ["checks.py:knot_s"]
+
+
+def test_only_build_slice_orders_the_crossings():
+    assert _callers("_crossing_order") == ["lee_oracle.py:build_slice"]
+
+
+def _writes_dict_slot(node):
+    """True for ``<x>.__dict__[...] = ...`` (plain, augmented or annotated)
+    and for a call of a method of ``<x>.__dict__``."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+                   and t.value.attr == "__dict__" for t in targets)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "__dict__")
+
+
+def test_no_module_writes_into_an_object_dict():
+    found = [f"{filename}:{node.lineno}" for filename, tree in _trees().items()
+             for node in ast.walk(tree) if _writes_dict_slot(node)]
+    assert not found
 
 
 def test_the_oracle_command_never_reduces():

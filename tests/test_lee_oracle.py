@@ -112,11 +112,12 @@ class TestBuildSlice:
             build_slice(braid_closure(BraidWord(2, ())))
 
     def test_vertex_degrees(self):
-        s = build_slice(MIXED)
-        for degree in (-1, 0, 1):
-            for mask in s.rows[degree]:
-                assert mask.bit_count() - s.diagram.n_minus == degree
-            assert list(s.rows[degree]) == sorted(s.rows[degree])
+        # a knot whose crossing order is not the identity, so that masks
+        # listed in ascending order would fail
+        d = _table_knots()[5]
+        order = _order(d)
+        assert order != sorted(order)
+        _assert_vertex_order(build_slice(d), order)
 
 
 class TestCanonicalCycles:
@@ -526,7 +527,6 @@ class TestClearing:
     @staticmethod
     def _assert_clearing_is_exact(d):
         s = build_slice(d)
-        d = s.diagram  # the masks of ``rows`` are over its crossing numbering
         assert s.din_echelon == _column_echelon(map(_entries, s.d_in))
         assert s.cleared <= _zero_columns(s.d_in)
         # no d_-2 vertex skipped as already covered could have added an index
@@ -568,11 +568,28 @@ class TestClearing:
         assert zero <= 300
 
 
-# --- the crossing numbering the slice is built in --------------------------
+# --- the vertex order the slice is built in -------------------------------
 
 
 def _identity_order(d, given):
     return list(range(len(d.crossings)))
+
+
+def _permuted(d, order):
+    """``d`` with its crossings listed in ``order``: crossing k of the copy
+    is crossing ``order[k]`` of ``d``."""
+    return Diagram(tuple(d.crossings[i] for i in order), d.free_loops)
+
+
+def _order(d):
+    """The crossing order ``build_slice`` takes for ``d``."""
+    n = len(d.crossings)
+    return _crossing_order(d, {m: d.resolution(m) for m in range(1 << n) if m.bit_count() == d.n_minus - 1})
+
+
+def _weighted(mask, order):
+    """``mask`` read with crossing ``order[k]`` worth 2^k."""
+    return sum(1 << k for k, i in enumerate(order) if mask >> i & 1)
 
 
 def _invariants(s):
@@ -598,19 +615,44 @@ def _naive_scores(d):
     ]
 
 
-def _assert_zero_columns_off_top_merge(s):
+def _assert_vertex_order(s, order):
+    """Each degree lists every mask of its weight, ascending with crossing
+    ``order[k]`` worth 2^k."""
+    n = len(s.diagram.crossings)
+    for degree, masks in s.rows.items():
+        weight = s.diagram.n_minus + degree
+        assert sorted(masks) == [m for m in range(1 << n) if m.bit_count() == weight]
+        weights = [_weighted(m, order) for m in masks]
+        assert weights == sorted(weights)
+
+
+def _assert_zero_columns_off_top_merge(s, order):
     """Every d_in column that the full echelon reduces to zero and whose
-    vertex u lacks the top crossing t sits where flipping t merges two
-    circles of u: no relation can clear it, which is why the top crossing
-    should split."""
+    vertex u lacks the top crossing t = ``order[-1]`` sits where flipping t
+    merges two circles of u: no relation can clear it, which is why the top
+    crossing should split."""
     d = s.diagram
     if not d.crossings:
         return
-    t = 1 << len(d.crossings) - 1
+    t = 1 << order[-1]
     zero = _zero_columns(s.d_in)
     for u, block in s.rows[-1].items():
         if not u & t and zero.intersection(block):
             assert d.resolution(u | t).count < d.resolution(u).count
+
+
+def _renumbered_reference(d, order):
+    """The slice of ``d`` with its crossings renumbered in ``order`` and then
+    built in that numbering, masks ascending: for the order of
+    ``_crossing_order``, the vertex order of ``build_slice(d)`` with each
+    mask translated."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slicebound.lee_oracle, "_crossing_order", _identity_order)
+        return build_slice(_permuted(d, order))
+
+
+def _magnitudes(echelon):
+    return {low: sorted((row, abs(v)) for row, v in col.items()) for low, col in echelon.items()}
 
 
 class TestCrossingOrder:
@@ -618,18 +660,19 @@ class TestCrossingOrder:
     def _assert_numbering_invariant(d, rng):
         """The slice of ``d`` and of ``d`` under a random crossing
         permutation, each built in its own order and in the order given,
-        agree on every invariant."""
-        permuted = d.renumbered(rng.sample(range(len(d.crossings)), len(d.crossings)))
-        expected = _invariants(build_slice(d))
-        slices = [build_slice(permuted)]
+        agree on every invariant, and each keeps the diagram passed in."""
+        n = len(d.crossings)
+        permuted = _permuted(d, rng.sample(range(n), n))
+        built = [(d, build_slice(d), _order(d)), (permuted, build_slice(permuted), _order(permuted))]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(slicebound.lee_oracle, "_crossing_order", _identity_order)
-            for diagram in (d, permuted):
-                slices.append(build_slice(diagram))
-                assert slices[-1].diagram is diagram
-        for s in slices:
+            built += [(diagram, build_slice(diagram), range(n)) for diagram in (d, permuted)]
+        expected = _invariants(built[0][1])
+        for diagram, s, order in built:
+            assert s.diagram is diagram
             assert _invariants(s) == expected
-            _assert_zero_columns_off_top_merge(s)
+            _assert_vertex_order(s, order)
+            _assert_zero_columns_off_top_merge(s, order)
 
     @settings(max_examples=40, deadline=None)
     @given(d=_braid_knots(), seed=st.integers(0, 2**32 - 1))
@@ -648,6 +691,31 @@ class TestCrossingOrder:
     def test_oracle_mid_knots(self, word):
         self._assert_numbering_invariant(braid_closure(parse_braid(word)), random.Random(word))
 
+    @staticmethod
+    def _assert_matches_renumbered_reference(d):
+        """Vertex order in the input numbering builds the slice of the
+        renumbered copy: the same vertices under the translated masks, each
+        at the same indices, the same gradings and cleared columns, and the
+        same echelon lows with the same absolute coefficients (cube edge
+        signs are taken in each slice's own numbering)."""
+        order = _order(d)
+        s, ref = build_slice(d), _renumbered_reference(d, order)
+        assert s.diagram is d
+        for degree in (-1, 0, 1):
+            assert [_weighted(m, order) for m in s.rows[degree]] == list(ref.rows[degree])
+            assert list(s.rows[degree].values()) == list(ref.rows[degree].values())
+        assert s.gradings == ref.gradings
+        assert s.cleared == ref.cleared
+        assert _magnitudes(s.din_echelon) == _magnitudes(ref.din_echelon)
+
+    def test_table_knots_match_the_renumbered_reference(self):
+        for d in _table_knots():
+            self._assert_matches_renumbered_reference(d)
+
+    @pytest.mark.parametrize("word", ORACLE_MID_WORDS)
+    def test_oracle_mid_knots_match_the_renumbered_reference(self, word):
+        self._assert_matches_renumbered_reference(braid_closure(parse_braid(word)))
+
     @settings(max_examples=40, deadline=None)
     @given(d=_braid_knots())
     @example(d=FIG8)
@@ -662,14 +730,17 @@ class TestCrossingOrder:
         if n:
             assert scores[order[-1]] == max(scores)
         s = build_slice(d)
-        assert s.diagram.crossings == tuple(d.crossings[i] for i in order)
+        assert s.diagram is d
+        _assert_vertex_order(s, order)
 
     @pytest.mark.parametrize("word", ["1: []", "2: [1]", "2: [1,1,1]", "3: [1,2,1,2]"])
     def test_no_degree_minus_one_vertex_keeps_the_given_order(self, word):
         d = braid_closure(parse_braid(word))
         assert d.n_minus == 0
         assert _crossing_order(d, {}) == list(range(len(d.crossings)))
-        assert build_slice(d).diagram is d
+        s = build_slice(d)
+        assert s.diagram is d
+        _assert_vertex_order(s, range(len(d.crossings)))
 
     def test_one_negative_crossing(self):
         # the only degree -1 vertex is the empty mask, and flipping the one
@@ -787,7 +858,6 @@ class TestTableDrivenConstruction:
     @staticmethod
     def _assert_matches_reference(d):
         s = build_slice(d)
-        d = s.diagram  # the masks of ``rows`` are over its crossing numbering
         circles = {m: d.resolution(m) for masks in s.rows.values() for m in masks}
         grades = _index_gradings(d, s)
         pos0, pos1 = _positions(s, 0), _positions(s, 1)
@@ -855,7 +925,7 @@ class TestDictColumnEquivalence:
     @staticmethod
     def _assert_equivalent(d):
         s = build_slice(d)
-        echelon, cleared = _dict_column_echelon(s.diagram, s)
+        echelon, cleared = _dict_column_echelon(d, s)
         assert s.cleared == cleared
         assert s.din_echelon.keys() == echelon.keys()
         for low, col in echelon.items():
