@@ -23,6 +23,17 @@ s(unknot) = 0):
   Delta(v_minus) = v_minus v_minus + v_plus v_plus, all unit coefficients
   times the cube edge sign (-1)^(set bits below the flipped one).
 
+Label tables: the edge map m -> m | 1 << i sends the labels of m through
+one XOR table of target labels (a merge) or two (a split).  The target
+circle of each circle of m fixes a merge's table; a split's is fixed by that
+and by the circle through crossing i with the two circles it splits into.
+``_build_matrix`` keys the tables by those circle ids and keeps one
+``itemgetter`` per distinct key, built on first use, in a dict that
+``build_slice`` makes for its three builds and drops with them: a table is
+built once per slice and never carried from one slice to the next.  On the
+36 table knots the slices build 771 tables, where one per (vertex, flipped
+crossing) made 11787.
+
 Unit-entry invariant: every entry of ``d_in`` and ``d_out`` is +1 or -1,
 and a column is stored as a signed row pair (``Column``): the rows of its
 +1 entries and the rows of its -1 entries, as two tuples.  The +-1 rule
@@ -96,6 +107,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .diagram import ConsistencyError, Diagram, SeifertCircles, validate
@@ -111,6 +123,8 @@ DEFAULT_MAX_CROSSINGS = 12
 
 # one column of a differential: (rows of its +1 entries, rows of its -1 entries)
 Column = tuple[tuple[int, ...], tuple[int, ...]]
+# label-table key -> an itemgetter per target table; ``build_slice`` makes one per slice
+Gathers = dict[tuple, tuple[itemgetter, ...]]
 
 
 @dataclass
@@ -179,6 +193,7 @@ def _build_matrix(
     sources: tuple[int, ...],
     tgt_rows: dict[int, Sequence[int]],
     circles: dict[int, SeifertCircles],
+    gathers: Gathers,
 ) -> Iterator[Column]:
     """Columns of the cube differential from the vertices ``sources``: one
     signed row pair per (vertex, label), yielded in (vertex, label) order;
@@ -189,49 +204,72 @@ def _build_matrix(
     Each edge map sends a label to one target (merge) or two (split) whose
     label bits are an XOR-linear function of the source label, plus a
     constant, so a whole vertex's targets come from one label table per
-    flipped crossing.  Every entry is the cube edge sign, so each crossing's
-    target list joins the half of its sign and the columns are the
-    transposed halves.  The two terms of a split differ at its two child
-    circles, and different crossings land in different target vertices.
+    target term.  A merge's table is fixed by ``ids``, the target circle of
+    each source circle; a split's by ``ids``, the source circle through the
+    crossing and its two children.  ``gathers`` maps that key to an
+    ``itemgetter`` per table, built on first use, so each distinct table is
+    built once per slice; a merge key is a tuple of ints and a split key
+    starts with a tuple, so the two never meet.  Every entry is the cube
+    edge sign, so each crossing's gathered targets join the half of its
+    sign and the columns are the transposed halves.  The two terms of a
+    split differ at its two child circles, and different crossings land in
+    different target vertices.
     """
     n = len(d.crossings)
     for m in sources:
         ca = circles[m] if m in circles else d.resolution(m)
-        plus: list[list[int]] = []
-        minus: list[list[int]] = []
+        k = ca.count
+        # the target circle of each circle of m; an itemgetter of one index
+        # would return a bare id, not a tuple
+        target_ids = itemgetter(*ca.reps) if k > 1 else lambda of, rep=ca.reps[0]: (of[rep],)
+        plus: list[tuple[int, ...]] = []
+        minus: list[tuple[int, ...]] = []
+        odd = False  # odd set bits of m below i: the cube edge sign is -1
         for i in range(n):
             if m >> i & 1:
+                odd = not odd
                 continue
             m2 = m | 1 << i
-            half = minus if (m & ((1 << i) - 1)).bit_count() % 2 else plus
+            half = minus if odd else plus
             cb = circles[m2]
-            rows = tgt_rows[m2]
-            a, b, _, _ = d.crossings[i].edges
-            contrib = [1 << cb.circle_of_edge[rep] for rep in ca.reps]
-            if cb.count == ca.count - 1:
-                # merge: both circles at crossing i map to the merged circle,
-                # so their bits XOR there: v_minus * v_minus = v_plus
-                tab = _label_table(contrib)
-                half.append([rows[x] for x in tab])
-            elif cb.count == ca.count + 1:
-                # split: the circle through crossing i divides into t1 and
-                # t2.  With its bit sent to t1, the table holds the other
-                # circles' bits plus t1 exactly when it carries v_minus, so
-                # Delta(v_plus) = v_plus v_minus + v_minus v_plus and
-                # Delta(v_minus) = v_minus v_minus + v_plus v_plus are the
-                # table XOR t2 and the table XOR t1
-                t1 = 1 << cb.circle_of_edge[a]
-                t2 = 1 << cb.circle_of_edge[b]
-                contrib[ca.circle_of_edge[a]] = t1
-                tab = _label_table(contrib)
-                half.append([rows[x ^ t2] for x in tab])
-                half.append([rows[x ^ t1] for x in tab])
+            ids = target_ids(cb.circle_of_edge)
+            if cb.count == k - 1:
+                key: tuple = ids
+            elif cb.count == k + 1:
+                a, b, _, _ = d.crossings[i].edges
+                key = (ids, ca.circle_of_edge[a], cb.circle_of_edge[a], cb.circle_of_edge[b])
             else:
                 raise ConsistencyError(
                     f"resolution change at crossing {i} is not a merge or split; "
                     "diagram data is not planar"
                 )
-        labels = 1 << ca.count
+            gets = gathers.get(key)
+            if gets is None:
+                contrib = [1 << c for c in ids]
+                if cb.count < k:
+                    # merge: both circles at crossing i map to the merged
+                    # circle, so their bits XOR there: v_minus * v_minus = v_plus
+                    tables = [_label_table(contrib)]
+                else:
+                    # split: the circle through crossing i divides into t1
+                    # and t2.  With its bit sent to t1, the table holds the
+                    # other circles' bits plus t1 exactly when it carries
+                    # v_minus, so Delta(v_plus) = v_plus v_minus + v_minus
+                    # v_plus and Delta(v_minus) = v_minus v_minus + v_plus
+                    # v_plus are the table XOR t2 and the table XOR t1
+                    _, j, c1, c2 = key
+                    t1, t2 = 1 << c1, 1 << c2
+                    contrib[j] = t1
+                    tab = _label_table(contrib)
+                    tables = [[x ^ t2 for x in tab], [x ^ t1 for x in tab]]
+                # a vertex has at least one circle, so every table has at
+                # least 2 entries and each gather returns a tuple, never a
+                # bare row
+                gets = gathers[key] = tuple(itemgetter(*tab) for tab in tables)
+            rows = tgt_rows[m2]
+            for get in gets:
+                half.append(get(rows))
+        labels = 1 << k
         yield from zip(
             zip(*plus) if plus else repeat((), labels),
             zip(*minus) if minus else repeat((), labels),
@@ -287,10 +325,11 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         gradings[degree] = tuple(grades[i] for i in order)
         rows[degree] = {m: pos[start:start + (1 << circles[m].count)] for m, start in off.items()}
 
-    d_in = tuple(_build_matrix(d, vertices[-1], rows[0], circles))
+    gathers: Gathers = {}  # shared by the d_in, d_out and d_-2 builds, dropped with the slice
+    d_in = tuple(_build_matrix(d, vertices[-1], rows[0], circles, gathers))
     # d_out's columns come in (vertex, label) order; store each at its C^0 row
     d_out: list[Column] = [((), ())] * len(gradings[0])
-    for row, col in zip(chain.from_iterable(rows[0].values()), _build_matrix(d, vertices[0], rows[1], circles)):
+    for row, col in zip(chain.from_iterable(rows[0].values()), _build_matrix(d, vertices[0], rows[1], circles, gathers)):
         d_out[row] = col
 
     slice_ = LeeComplexSlice(
@@ -304,7 +343,7 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     # the clearing check reads d_in, so d_in's rows are checked distinct first
     _check_slice(slice_)
     sources = _vertices(perm, n_minus - 2)
-    return replace(slice_, cleared=_cleared_columns(d, perm, d_in, sources, rows[-1], circles))
+    return replace(slice_, cleared=_cleared_columns(d, perm, d_in, sources, rows[-1], circles, gathers))
 
 
 def _vertices(perm: Sequence[int], weight: int) -> tuple[int, ...]:
@@ -348,6 +387,7 @@ def _cleared_columns(
     sources: tuple[int, ...],
     rows: dict[int, Sequence[int]],
     circles: dict[int, SeifertCircles],
+    gathers: Gathers,
 ) -> frozenset[int]:
     """The C^-1 indices of ``d_in`` columns that a verified relation proves
     redundant (clearing).
@@ -385,7 +425,7 @@ def _cleared_columns(
         top = w | 1 << next(i for i in reversed(perm) if not w >> i & 1)
         if filled[top] == len(rows[top]):
             continue
-        for r in _build_matrix(d, (w,), rows, circles):
+        for r in _build_matrix(d, (w,), rows, circles, gathers):
             terms = r[0] + r[1]
             j = max(terms)
             if j in cleared:

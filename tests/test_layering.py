@@ -19,6 +19,12 @@
   crossing order only sets the order of the cube's vertices, inside the one
   build.  ``_check_slice`` and ``_column_echelon`` stay
   module-level functions: the benchmark traces them by name.
+* The matrix builder is the only caller of ``_label_table``, and the label
+  tables it gathers live in one dict per slice, which ``build_slice`` makes
+  and hands to its three builds.  ``lee_oracle`` holds no state that
+  outlives a call: no mutable container at module or class level, and no
+  ``functools.cache`` or ``lru_cache``, so a repeated call in one process
+  starts from nothing.
 * The oracle is reached in two places outside ``lee_oracle``: ``knot_s``,
   which computes s on the reduced braid word and is the only caller of
   ``reduce_braid``, and ``cmd_oracle``, which reports the diagram as given
@@ -134,6 +140,39 @@ def test_the_oracle_builds_both_differentials_with_one_builder_and_checks_them()
     assert "_cleared_columns" in called
     assert _called_names(functions["_cleared_columns"]).count(builders[0]) == 1
     assert "_check_slice" in called
+
+
+MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "Counter", "OrderedDict", "deque"}
+MEMOIZERS = {"cache", "lru_cache"}
+
+
+def _is_mutable_container(node):
+    return isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        and (node.func.id if isinstance(node.func, ast.Name) else node.func.attr) in MUTABLE_CALLS)
+
+
+def _held_values(body):
+    """The values assigned by the statements of a module or class body, and
+    of the class bodies nested in it."""
+    for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            yield node.value
+        elif isinstance(node, ast.ClassDef):
+            yield from _held_values(node.body)
+
+
+def test_the_label_tables_live_in_one_slice():
+    assert _callers("_label_table") == ["lee_oracle.py:_build_matrix"]
+    tree = _trees()["lee_oracle.py"]
+    held = [node.lineno for node in _held_values(tree.body) if _is_mutable_container(node)]
+    memoized = [sub.lineno for sub in ast.walk(tree)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and (
+                    sub.id if isinstance(sub, ast.Name) else sub.attr) in MEMOIZERS]
+    memoized += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names if alias.name in MEMOIZERS]
+    assert not held
+    assert not memoized
 
 
 def test_only_strands_walks_the_successor_map():

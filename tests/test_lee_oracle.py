@@ -533,7 +533,7 @@ class TestClearing:
         sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
         circles = {m: d.resolution(m) for m in s.rows[-1]}
         rows = {m: range(off, off + (1 << circles[m].count)) for m, off in _offsets(s.rows[-1], circles).items()}
-        assert s.cleared == {max(_entries(r)) for r in _build_matrix(d, sources, rows, circles)}
+        assert s.cleared == {max(_entries(r)) for r in _build_matrix(d, sources, rows, circles, {})}
 
     @settings(max_examples=60, deadline=None)
     @given(d=_braid_knots())
@@ -877,6 +877,8 @@ class TestTableDrivenConstruction:
     @example(d=MIXED)
     @example(d=FIG8)
     @example(d=mirror(TREFOIL))
+    @example(d=KINK)  # a merge of 2 circles into 1
+    @example(d=mirror(KINK))  # a split from a 1-circle vertex: two 2-entry gathers
     def test_braid_knots_match_the_accumulating_builder(self, d):
         self._assert_matches_reference(d)
 
@@ -885,6 +887,49 @@ class TestTableDrivenConstruction:
         assert len(knots) == 36
         for d in knots:
             self._assert_matches_reference(d)
+
+
+class TestGathers:
+    """Each distinct label table is built once per slice, and the one
+    ``gathers`` dict that the three builds of a slice share gives the same
+    columns as a fresh dict per ``_build_matrix`` call."""
+
+    # counts, not timings: one table per (vertex, flipped crossing) built
+    # 9408 tables on the oracle-mid words and 11787 on the table knots
+
+    def test_label_tables_on_the_oracle_mid_words(self, calls):
+        tables = calls(slicebound.lee_oracle, "_label_table")
+        for word in ORACLE_MID_WORDS:
+            build_slice(braid_closure(parse_braid(word)))
+        assert len(tables) <= 450
+
+    def test_label_tables_on_the_table_knots(self, calls):
+        knots = _table_knots()
+        tables = calls(slicebound.lee_oracle, "_label_table")
+        for d in knots:
+            build_slice(d)
+        assert len(tables) <= 800
+
+    @staticmethod
+    def _assert_sharing_changes_nothing(d):
+        shared = build_slice(d)
+        build = slicebound.lee_oracle._build_matrix
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(slicebound.lee_oracle, "_build_matrix", lambda *args: build(*args[:-1], {}))
+            fresh = build_slice(d)
+        assert shared.d_in == fresh.d_in
+        assert shared.d_out == fresh.d_out
+        assert shared.gradings == fresh.gradings
+        assert shared.rows == fresh.rows
+        assert shared.cleared == fresh.cleared
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=_braid_knots())
+    @example(d=KINK)
+    @example(d=TREFOIL)  # n_minus = 0: no d_in, d_out alone
+    def test_shared_gathers_match_fresh_ones(self, d):
+        for side in (d, mirror(d)):
+            self._assert_sharing_changes_nothing(side)
 
 
 BASELINE_12A = "5: [4,2,-4,3,-1,-2,4,-2,-4,3,-3,-4]"
