@@ -15,10 +15,11 @@
 * ``lee_oracle`` defines one matrix builder, which ``build_slice`` calls for
   both differentials and ``_cleared_columns``, called by ``build_slice``,
   for the d_-2 relations; ``build_slice`` runs ``_check_slice`` on every
-  slice it returns, and is the only caller of ``_crossing_order``: the
-  crossing order only sets the order of the cube's vertices, inside the one
-  build.  ``_check_slice`` and ``_column_echelon`` stay
-  module-level functions: the benchmark traces them by name.
+  slice it returns, and ``_check_slice`` alone verifies the relations that
+  ``_cleared_columns`` streams.  ``build_slice`` is the only caller of
+  ``_crossing_order``: the crossing order only sets the order of the cube's
+  vertices, inside the one build.  ``_check_slice`` and ``_column_echelon``
+  stay module-level functions: the benchmark traces them by name.
 * The matrix builder is the only caller of ``_label_table``, and the label
   tables it gathers live in one dict per slice, which ``build_slice`` makes
   and hands to its three builds.  ``lee_oracle`` holds no state that
@@ -140,6 +141,7 @@ def test_the_oracle_builds_both_differentials_with_one_builder_and_checks_them()
     assert "_cleared_columns" in called
     assert _called_names(functions["_cleared_columns"]).count(builders[0]) == 1
     assert "_check_slice" in called
+    assert "_composes_to_zero" not in _called_names(functions["_cleared_columns"])
 
 
 MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "Counter", "OrderedDict", "deque"}

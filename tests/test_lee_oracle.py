@@ -315,6 +315,11 @@ class TestEliminationKernel:
     @settings(max_examples=300, deadline=None)
     @given(columns=st.lists(_vectors, max_size=10), extras=st.lists(_vectors, max_size=4))
     @example(columns=[{0: 2, 1: 1}, {0: 3, 2: 1}], extras=[{0: 5, 1: 1, 2: 1}])
+    # the untouched-column path: an empty column has no low, and a column
+    # whose low is new but whose low entry is not +-1 is reduced and stripped
+    @example(columns=[{}], extras=[{0: 1}])
+    @example(columns=[{3: 2, 5: 4}], extras=[{3: 1, 5: 1}])
+    @example(columns=[{0: 1, 2: 1}, {1: 2, 4: -6}], extras=[{1: 1, 2: 1}])
     def test_matches_rational_elimination(self, columns, extras):
         before = [dict(col) for col in columns]
         # the echelon reduces the columns it is given in place: hand it copies
@@ -552,11 +557,14 @@ class TestClearing:
         self._assert_clearing_is_exact(braid_closure(parse_braid(word)))
 
     def test_cleared_and_reduced_counts(self, calls):
-        # a count, not a timing: without clearing all 5292 columns are reduced
+        # counts, not timings: without clearing the echelon takes all 5292
+        # columns, and without the untouched-column path it reduces each
+        # column it takes
         s = build_slice(braid_closure(parse_braid(ORACLE_MID_WORDS[0])))
+        taken = calls(slicebound.lee_oracle, "_add_column")
         reduced = calls(slicebound.lee_oracle, "_reduce_against")
         assert len(s.din_echelon) == 2468
-        assert (s.dim(-1), len(s.cleared), len(reduced)) == (5292, 2748, 2544)
+        assert (s.dim(-1), len(s.cleared), len(taken), len(reduced)) == (5292, 2748, 2544, 197)
 
     def test_few_d_in_columns_reduce_to_zero(self):
         # a count, not a timing: in the given crossing numbering the echelon
@@ -566,6 +574,58 @@ class TestClearing:
             s = build_slice(braid_closure(parse_braid(word)))
             zero += len(_zero_columns([col for j, col in enumerate(s.d_in) if j not in s.cleared]))
         assert zero <= 300
+
+
+class TestCompositeShortcut:
+    """``_check_slice`` tests d_out . d_in = 0 only on the d_in columns that
+    no verified relation clears.  Cross-checked against the full test: the
+    composite vanishes on every d_in column, cleared ones included, and each
+    cleared column j is the top of its relation r, whose other terms lie at
+    smaller indices, so d_in[j] = -r_j sum_{i<j} r_i d_in[i]."""
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        """The relations ``_check_slice`` verifies while the test runs."""
+        seen = []
+        check = slicebound.lee_oracle._check_slice
+
+        def checking(s, relations=()):
+            relations = list(relations)
+            seen.append(relations)
+            return check(s, relations)
+
+        monkeypatch.setattr(slicebound.lee_oracle, "_check_slice", checking)
+        return seen
+
+    @staticmethod
+    def _assert_shortcut_is_exact(d, verified):
+        verified.clear()
+        s = build_slice(d)
+        (relations,) = verified
+        # no relations: the composite is tested on every d_in column
+        assert _check_slice(s) == frozenset()
+        tops = [max(r[0] + r[1]) for r in relations]
+        assert len(set(tops)) == len(tops)
+        assert set(tops) == s.cleared
+        d_in = [_entries(col) for col in s.d_in]
+        for r, j in zip(relations, tops):
+            rel = _entries(r)
+            assert all(i < j for i in rel if i != j)
+            rest = {i: c for i, c in rel.items() if i != j}
+            assert _product(d_in, rest) == {u: -rel[j] * v for u, v in d_in[j].items()}
+        return s
+
+    def test_table_knots_and_mirrors(self, verified):
+        knots = _table_knots()
+        assert len(knots) == 36
+        for d in knots:
+            for side in (d, mirror(d)):
+                self._assert_shortcut_is_exact(side, verified)
+
+    @pytest.mark.parametrize("word", ORACLE_MID_WORDS)
+    def test_oracle_mid_knots(self, word, verified):
+        s = self._assert_shortcut_is_exact(braid_closure(parse_braid(word)), verified)
+        assert s.cleared
 
 
 # --- the vertex order the slice is built in -------------------------------
@@ -1101,6 +1161,17 @@ class TestCheckSliceMutations:
         with pytest.raises(ConsistencyError, match=f"not filtered: {src_q} -> {q0[t2]}$"):
             _check_slice(self._with_column(fig8, "d_in", j, _signed(col)))
 
+    def test_cleared_is_not_read(self, fig8):
+        # a slice that claims every column cleared, checked with no relations:
+        # the composite is still tested on every d_in column
+        j, t = self._entry(fig8)
+        col = _entries(fig8.d_in[j])
+        del col[t]
+        s = self._with_column(fig8, "d_in", j, _signed(col))
+        s = dataclasses.replace(s, cleared=frozenset(range(fig8.dim(-1))))
+        with pytest.raises(ConsistencyError, match=r"d_out \. d_in != 0"):
+            _check_slice(s)
+
     def test_unfiltered_message_names_the_first_entry_in_column_order(self, fig8):
         j, _ = self._entry(fig8)
         q0 = fig8.gradings[0]
@@ -1171,9 +1242,11 @@ class TestClearingMutations:
         with pytest.raises(ConsistencyError, match="clearing relation has a non-unit entry"):
             self._build_with_first_relation(monkeypatch, cancel)
 
-    def test_d_in_is_checked_before_the_relations_read_it(self, monkeypatch):
-        # a d_in column that clearing reads, with one row named twice: the
-        # slice check reports the entry 2, not a failed relation
+    @staticmethod
+    def _build_with_first_cleared_column(monkeypatch, corrupt):
+        """Build FIG8 with ``corrupt`` applied to its d_in column min(cleared),
+        one that only the relations vouch for, handed over as a pair of lists
+        [plus rows, minus rows]."""
         j = min(build_slice(FIG8).cleared)
         build = slicebound.lee_oracle._build_matrix
 
@@ -1181,10 +1254,37 @@ class TestClearingMutations:
             cols = build(d, sources, *args)
             if sources and sources[0].bit_count() == d.n_minus - 1:
                 cols = list(cols)
-                plus, minus = cols[j]
-                cols[j] = (plus + plus[:1], minus) if plus else (plus, minus + minus[:1])
+                col = [list(half) for half in cols[j]]
+                corrupt(col)
+                cols[j] = tuple(map(tuple, col))
             return cols
 
         monkeypatch.setattr(slicebound.lee_oracle, "_build_matrix", building)
+        return build_slice(Diagram(FIG8.crossings))
+
+    def test_d_in_is_checked_before_the_relations_read_it(self, monkeypatch):
+        # a d_in column that clearing reads, with one row named twice: the
+        # slice check reports the entry 2, not a failed relation
+        def double(col):
+            half = 0 if col[0] else 1
+            col[half].append(col[half][0])
+
         with pytest.raises(ConsistencyError, match="differential has a non-unit entry"):
-            build_slice(Diagram(FIG8.crossings))
+            self._build_with_first_cleared_column(monkeypatch, double)
+
+    def test_deleted_entry_of_a_cleared_column(self, monkeypatch):
+        # the composite is not tested on a cleared column: its relation is
+        def delete(col):
+            half = 0 if col[0] else 1
+            del col[half][0]
+
+        with pytest.raises(ConsistencyError, match=r"clearing relation: d_in \. d_-2 != 0"):
+            self._build_with_first_cleared_column(monkeypatch, delete)
+
+    def test_flipped_sign_in_a_cleared_column(self, monkeypatch):
+        def flip(col):
+            half = 0 if col[0] else 1
+            col[1 - half].append(col[half].pop(0))
+
+        with pytest.raises(ConsistencyError, match=r"clearing relation: d_in \. d_-2 != 0"):
+            self._build_with_first_cleared_column(monkeypatch, flip)
