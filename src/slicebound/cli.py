@@ -101,7 +101,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     path = args.infile or bundled_table_path()
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put before
+    # the header, which would otherwise rename the first column
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.DictReader(fh))
     results = run_table(rows, args.max_crossings if args.oracle else None)
     text = json.dumps(results, indent=2) if args.json else _csv_text(TABLE_COLUMNS, results)

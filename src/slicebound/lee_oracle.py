@@ -42,12 +42,13 @@ would stand for an entry 2 (twice in one half) or 0 (once in each).  A
 label's terms under one edge map are distinct, and different flipped
 crossings reach different target vertices, so no two terms of a column ever
 meet.  ``_check_slice`` verifies on every slice, in this order, that every
-column of ``d_in`` and ``d_out`` is filtered and repeats no row, that each
-clearing relation has distinct rows and d_in . r = 0, and that
-d_out . d_in = 0 on the ``d_in`` columns no relation cleared.  The two zero
-tests are ``_composes_to_zero``, which compares the sorted targets of the
-+1 and -1 paths through the composite column and needs unit entries, so
-no relation reads a ``d_in`` column before its rows are checked distinct.
+column of ``d_in`` and ``d_out`` is filtered and repeats no row, that the
+first clearing relation of each top index has distinct rows and
+d_in . r = 0, and that d_out . d_in = 0 on the ``d_in`` columns no relation
+cleared.  The two zero tests are ``_composes_to_zero``, which compares the
+sorted targets of the +1 and -1 paths through the composite column and
+needs unit entries, so no relation reads a ``d_in`` column before its rows
+are checked distinct.
 
 Coefficients are exact: matrices live over the integers, and every
 elimination step leaves an integer column that is a nonzero rational multiple
@@ -72,13 +73,14 @@ Clearing: a vector r with d_in . r = 0 whose last nonzero entry is at index j
 writes column j of ``d_in`` as a combination of earlier columns, so the
 echelon would reduce it to zero; skipping it changes no pivot, hence not
 ``s``, the profile or rank d_in.  The columns of d_-2 : C^-2 -> C^-1 are such
-relations.  ``_cleared_columns``, called by ``build_slice``, streams the
-first column of d_-2 for each new top index, one degree -2 vertex at a time
-through the one matrix builder, which resolves each such vertex as it
-reaches it; degree -2 is never stored, neither its columns nor its
-resolutions.  ``_check_slice`` verifies each relation exactly as it arrives
-and returns the top indices of the verified ones, which ``build_slice``
-stores as ``LeeComplexSlice.cleared`` and the ``d_in`` echelon skips;
+relations.  ``build_slice`` streams every column of d_-2 through the one
+matrix builder, which resolves each degree -2 vertex as it reaches it, into
+``_check_slice``; degree -2 is never stored, neither its columns nor its
+resolutions.  ``_check_slice`` is the one record of what is cleared: it
+verifies the first relation of each top index exactly as it arrives, drops
+a relation whose top is already cleared without reading it further, and
+returns the top indices of the verified ones, which ``build_slice`` stores
+as ``LeeComplexSlice.cleared`` and the ``d_in`` echelon skips;
 ``_check_slice`` never reads it from a slice.  The same relations prove
 d_out . d_in = 0 on the cleared columns, by induction on the column index:
 r has unit entries, so d_in[j] = -+ sum_{i<j} r_i d_in[i], and each column
@@ -93,14 +95,14 @@ C^-1 vertex that contains the last crossing t of that order, so which
 crossing comes last decides how much of ker d_in (which is im d_-2: Lee
 homology of a knot lives in degree 0) the clearing reaches.  A column of a
 block without t reduces to zero only where flipping t merges two circles
-(``_cleared_columns``), so ``build_slice`` resolves the degree -1 vertices
-first and ``_crossing_order`` puts last a crossing whose flip splits a
-circle at the most of them.  Masks and cube edge signs keep the input's
-crossing numbering: sign rules under which every square anticommutes differ
-by one sign per vertex, so the elimination takes the same steps, up to sign,
-in any numbering.  The order changes only the cost: on the five
-``oracle-mid`` words the echelon reduces 246 uncleared columns to zero
-instead of 1570 in ascending mask order.
+(``_crossing_order`` says why), so ``build_slice`` resolves the degree -1
+vertices first and ``_crossing_order`` puts last a crossing whose flip
+splits a circle at the most of them.  Masks and cube edge signs keep the
+input's crossing numbering: sign rules under which every square
+anticommutes differ by one sign per vertex, so the elimination takes the
+same steps, up to sign, in any numbering.  The order changes only the cost:
+on the five ``oracle-mid`` words the echelon reduces 246 uncleared columns
+to zero instead of 1570 in ascending mask order.
 
 The slice is the one handle for every read: ``build_slice`` is the only entry
 that takes a diagram or a crossing limit, and ``canonical_cycles``,
@@ -292,8 +294,9 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     degree -1 vertices are resolved first: their circles give the crossing
     order (``_crossing_order``) in which ``_vertices`` lists the vertices of
     every degree.  Masks keep the crossing numbering of ``d``, which the
-    slice keeps as its ``diagram``.  The columns of d_-2 are streamed by
-    ``_cleared_columns`` and not kept.
+    slice keeps as its ``diagram``.  The columns of d_-2 come from the same
+    builder, streamed into ``_check_slice``, which verifies them and returns
+    the cleared set; they are not kept.
     """
     validate(d)
     if not d.is_connected or not d.is_knot:
@@ -349,7 +352,7 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         cleared=frozenset(),
     )
     # _check_slice reads the relations only after d_in's rows are checked distinct
-    relations = _cleared_columns(d, perm, _vertices(perm, n_minus - 2), rows[-1], circles, gathers)
+    relations = _build_matrix(d, _vertices(perm, n_minus - 2), rows[-1], circles, gathers)
     return replace(slice_, cleared=_check_slice(slice_, relations))
 
 
@@ -373,9 +376,18 @@ def _crossing_order(d: Diagram, given: dict[int, SeifertCircles]) -> list[int]:
     where it merges two.  Bit 0 smooths crossing (a, b, c, d) into the arcs
     {a,b} and {c,d}, so flipping it splits exactly when edges a and c lie on
     one circle of u.  Every crossing is missing from equally many degree -1
-    vertices, so the last crossing, which weighs most in ``_vertices``,
-    splits at the most of them (``_cleared_columns`` says why).  Without a
-    degree -1 vertex every score is 0 and the order is the identity.
+    vertices, so the last crossing t, which weighs most in ``_vertices``,
+    splits at the most of them.  Without a degree -1 vertex every score is 0
+    and the order is the identity.
+
+    Why t should split: every top index of a d_-2 vertex w lies in the
+    block of w plus the last crossing of the order not in w, so the block
+    of a C^-1 vertex u without t is never a top block, and any of its
+    columns that reduce to zero stay in the echelon.  Those blocks come
+    first in column order, and among them only u reaches the C^0 vertex
+    u + t, so a column of u's block reduces to zero only if the edge map
+    u -> u + t has a kernel, that is, only if flipping t merges two circles
+    of u (Delta is injective, the merge is not).
     """
     ends = [(c.edges[0], c.edges[2]) for c in d.crossings]
     score = [0] * len(ends)
@@ -385,58 +397,6 @@ def _crossing_order(d: Diagram, given: dict[int, SeifertCircles]) -> list[int]:
             if not u >> i & 1:
                 score[i] += 1 if of[a] == of[c] else -1
     return sorted(range(len(ends)), key=lambda i: (score[i], i))
-
-
-def _cleared_columns(
-    d: Diagram,
-    perm: list[int],
-    sources: tuple[int, ...],
-    rows: dict[int, Sequence[int]],
-    circles: dict[int, SeifertCircles],
-    gathers: Gathers,
-) -> Iterator[Column]:
-    """The candidate clearing relations: the first column of d_-2 for each
-    new top index, streamed for ``_check_slice`` to verify.
-
-    A relation r with d_in . r = 0 whose top index is j = max(r) writes
-    column j as a combination of the columns before it, so the echelon, which
-    takes the columns in index order, would reduce column j to zero; skipping
-    it changes no pivot.  The columns of d_-2 from the vertices ``sources``
-    are such relations; ``rows`` maps each C^-1 vertex to its (vertex, label)
-    indices.  Each yielded relation is one that ``_check_slice`` verifies
-    before it clears j, or it raises: so every top index yielded counts as
-    cleared, and a later relation with the same top is not yielded.  The
-    relations are built lazily, as the caller asks for them.
-
-    Every top index of a vertex w lies in the block of its last target
-    vertex, w plus the last crossing of ``perm`` not in w, because C^-1
-    lists its vertices in ascending ``perm``-weighted order (``_vertices``).
-    A vertex whose top block is already all cleared can add nothing, so it
-    is neither resolved nor built.
-
-    So the top crossing t = ``perm[-1]`` decides which blocks can clear:
-    the block of a vertex u without t is never a top block, and any of its
-    columns that reduce to zero stay in the echelon.  Those blocks come
-    first in column order, and among them only u reaches the C^0 vertex
-    u + t, so a column of u's block reduces to zero only if the edge map
-    u -> u + t has a kernel, that is, only if flipping t merges two circles
-    of u (Delta is injective, the merge is not).  ``build_slice`` therefore
-    orders the crossings so that t is a crossing whose flip splits a circle
-    at the most such u (``_crossing_order``).
-    """
-    tops: set[int] = set()
-    filled = dict.fromkeys(rows, 0)  # C^-1 vertex -> tops yielded in its block
-    for w in sources:
-        top = w | 1 << next(i for i in reversed(perm) if not w >> i & 1)
-        if filled[top] == len(rows[top]):
-            continue
-        for r in _build_matrix(d, (w,), rows, circles, gathers):
-            j = max(r[0] + r[1])
-            if j in tops:
-                continue
-            tops.add(j)
-            filled[top] += 1
-            yield r
 
 
 def _composes_to_zero(outer: Sequence[Column], col: Column) -> bool:
@@ -472,14 +432,17 @@ def _repeated(terms: tuple[int, ...]) -> str:
 def _check_slice(s: LeeComplexSlice, relations: Iterable[Column] = ()) -> frozenset[int]:
     """Always-on structural checks: filtered columns, distinct rows, the
     clearing ``relations`` and d_out . d_in = 0; returns the C^-1 indices of
-    the ``d_in`` columns that the relations clear.
+    the ``d_in`` columns that the relations clear, and is the only record
+    of them.
 
     No column may name a row twice, in one half or across both (Lee's edge
     maps have unit coefficients and distinct targets): a repeated row is the
     signed-row form of an entry 2 or 0, and ``_composes_to_zero`` needs every
     entry to be +-1.  So the rows of every column of ``d_in`` and ``d_out``
-    are checked first.  Then each relation r, in the order given, must have
-    distinct rows and d_in . r = 0; its top index j = max(r) is cleared.  Last,
+    are checked first.  Then the relations are taken in the order given,
+    each by its top index j = max(r) first: a relation whose j is already
+    cleared is skipped unread, since it could clear nothing more; any other
+    must have distinct rows and d_in . r = 0, and then j is cleared.  Last,
     d_out . d_in = 0 is tested one ``d_in`` column at a time, on the columns
     no relation cleared.  That covers the cleared ones by induction on the
     column index: r has unit entries, so d_in[j] = -+ sum_{i<j} r_i d_in[i],
@@ -498,11 +461,14 @@ def _check_slice(s: LeeComplexSlice, relations: Iterable[Column] = ()) -> frozen
     cleared: set[int] = set()
     for r in relations:
         terms = r[0] + r[1]
+        j = max(terms)
+        if j in cleared:
+            continue
         if len(set(terms)) < len(terms):
             raise ConsistencyError(f"clearing relation has a non-unit entry: {_repeated(terms)}")
         if not _composes_to_zero(s.d_in, r):
             raise ConsistencyError("clearing relation: d_in . d_-2 != 0")
-        cleared.add(max(terms))
+        cleared.add(j)
     for j, col in enumerate(s.d_in):
         if j not in cleared and not _composes_to_zero(s.d_out, col):
             raise ConsistencyError("d_out . d_in != 0")

@@ -202,6 +202,16 @@ class TestTableCommand:
         assert code == 0
         assert len(list(csv.DictReader(io.StringIO(out)))) == 0
 
+    def test_byte_order_mark_keeps_the_names(self, tmp_path, capsys):
+        # spreadsheet exports put a UTF-8 byte-order mark before the header
+        text = 'name,pd,known_s\n3_1,"X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]",\n'
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        outputs = [run_cli(capsys, "table", "--in", str(path)) for path in (plain, marked)]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].splitlines()[1].startswith("3_1,")
+
     def test_row_order_preserved(self, capsys):
         with open(bundled_table_path(), newline="", encoding="utf-8") as fh:
             names_in = [r["name"] for r in csv.DictReader(fh)]

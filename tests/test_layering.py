@@ -12,14 +12,16 @@
 * ``cli`` holds argument parsing, input loading, output formatting and exit
   codes only: no classes, and no functions but the ``cmd_*`` handlers,
   ``build_parser``, ``main`` and its I/O helpers.
-* ``lee_oracle`` defines one matrix builder, which ``build_slice`` calls for
-  both differentials and ``_cleared_columns``, called by ``build_slice``,
-  for the d_-2 relations; ``build_slice`` runs ``_check_slice`` on every
-  slice it returns, and ``_check_slice`` alone verifies the relations that
-  ``_cleared_columns`` streams.  ``build_slice`` is the only caller of
-  ``_crossing_order``: the crossing order only sets the order of the cube's
-  vertices, inside the one build.  ``_check_slice`` and ``_column_echelon``
-  stay module-level functions: the benchmark traces them by name.
+* ``lee_oracle`` defines one matrix builder, which ``build_slice`` calls
+  three times: for both differentials and for the d_-2 relations, which it
+  streams into ``_check_slice``.  ``build_slice`` runs ``_check_slice`` on
+  every slice it returns, and ``_check_slice`` alone verifies the
+  relations and records which columns they clear; ``_composes_to_zero`` is
+  called only there and by ``canonical_cycles``.  ``build_slice`` is the
+  only caller of ``_crossing_order``: the crossing order only sets the
+  order of the cube's vertices, inside the one build.  ``_check_slice``
+  and ``_column_echelon`` stay module-level functions: the benchmark
+  traces them by name.
 * The matrix builder is the only caller of ``_label_table``, and the label
   tables it gathers live in one dict per slice, which ``build_slice`` makes
   and hands to its three builds.  ``lee_oracle`` holds no state that
@@ -136,12 +138,18 @@ def test_the_oracle_builds_both_differentials_with_one_builder_and_checks_them()
     assert {"build_slice", "_check_slice", "_column_echelon"} <= set(functions)
     builders = [name for name in functions if "matrix" in name]
     assert len(builders) == 1
-    called = _called_names(functions["build_slice"])
-    assert called.count(builders[0]) == 2
-    assert "_cleared_columns" in called
-    assert _called_names(functions["_cleared_columns"]).count(builders[0]) == 1
-    assert "_check_slice" in called
-    assert "_composes_to_zero" not in _called_names(functions["_cleared_columns"])
+    build = functions["build_slice"]
+    assert _called_names(build).count(builders[0]) == 3
+    # _check_slice is handed the d_-2 build, directly or through a name
+    (check,) = [sub for sub in ast.walk(build) if isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Name) and sub.func.id == "_check_slice"]
+    stream = check.args[1]
+    if isinstance(stream, ast.Name):
+        (stream,) = [node.value for node in ast.walk(build) if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == stream.id for t in node.targets)]
+    assert isinstance(stream, ast.Call) and _called_names(stream)[0] == builders[0]
+    assert "n_minus - 2" in ast.unparse(stream.args[1])
+    assert _callers("_composes_to_zero") == ["lee_oracle.py:_check_slice", "lee_oracle.py:canonical_cycles"]
 
 
 MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "Counter", "OrderedDict", "deque"}

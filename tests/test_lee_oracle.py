@@ -534,7 +534,7 @@ class TestClearing:
         s = build_slice(d)
         assert s.din_echelon == _column_echelon(map(_entries, s.d_in))
         assert s.cleared <= _zero_columns(s.d_in)
-        # no d_-2 vertex skipped as already covered could have added an index
+        # the cleared set is the top index of every d_-2 column, none lost
         sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
         circles = {m: d.resolution(m) for m in s.rows[-1]}
         rows = {m: range(off, off + (1 << circles[m].count)) for m, off in _offsets(s.rows[-1], circles).items()}
@@ -580,12 +580,13 @@ class TestCompositeShortcut:
     """``_check_slice`` tests d_out . d_in = 0 only on the d_in columns that
     no verified relation clears.  Cross-checked against the full test: the
     composite vanishes on every d_in column, cleared ones included, and each
-    cleared column j is the top of its relation r, whose other terms lie at
-    smaller indices, so d_in[j] = -r_j sum_{i<j} r_i d_in[i]."""
+    cleared column j is the top of the first relation r streamed with that
+    top, the one ``_check_slice`` verifies, whose other terms lie at smaller
+    indices, so d_in[j] = -r_j sum_{i<j} r_i d_in[i]."""
 
     @pytest.fixture
-    def verified(self, monkeypatch):
-        """The relations ``_check_slice`` verifies while the test runs."""
+    def streamed(self, monkeypatch):
+        """The relations handed to ``_check_slice`` while the test runs."""
         seen = []
         check = slicebound.lee_oracle._check_slice
 
@@ -598,34 +599,41 @@ class TestCompositeShortcut:
         return seen
 
     @staticmethod
-    def _assert_shortcut_is_exact(d, verified):
-        verified.clear()
+    def _assert_shortcut_is_exact(d, streamed):
+        streamed.clear()
         s = build_slice(d)
-        (relations,) = verified
+        (relations,) = streamed
         # no relations: the composite is tested on every d_in column
         assert _check_slice(s) == frozenset()
-        tops = [max(r[0] + r[1]) for r in relations]
-        assert len(set(tops)) == len(tops)
-        assert set(tops) == s.cleared
+        first = {}
+        for r in relations:
+            first.setdefault(max(r[0] + r[1]), r)
+        assert first.keys() == s.cleared
         d_in = [_entries(col) for col in s.d_in]
-        for r, j in zip(relations, tops):
+        for j, r in first.items():
             rel = _entries(r)
             assert all(i < j for i in rel if i != j)
             rest = {i: c for i, c in rel.items() if i != j}
             assert _product(d_in, rest) == {u: -rel[j] * v for u, v in d_in[j].items()}
         return s
 
-    def test_table_knots_and_mirrors(self, verified):
+    def test_table_knots_and_mirrors(self, streamed):
         knots = _table_knots()
         assert len(knots) == 36
         for d in knots:
             for side in (d, mirror(d)):
-                self._assert_shortcut_is_exact(side, verified)
+                self._assert_shortcut_is_exact(side, streamed)
 
     @pytest.mark.parametrize("word", ORACLE_MID_WORDS)
-    def test_oracle_mid_knots(self, word, verified):
-        s = self._assert_shortcut_is_exact(braid_closure(parse_braid(word)), verified)
+    def test_oracle_mid_knots(self, word, streamed):
+        s = self._assert_shortcut_is_exact(braid_closure(parse_braid(word)), streamed)
         assert s.cleared
+
+    def test_the_stream_repeats_tops(self, streamed):
+        # counts: every d_-2 column is streamed, and the ones whose top is
+        # already cleared are dropped unread
+        cleared = sum(len(build_slice(braid_closure(parse_braid(word))).cleared) for word in ORACLE_MID_WORDS)
+        assert (sum(map(len, streamed)), cleared) == (10944, 6896)
 
 
 # --- the vertex order the slice is built in -------------------------------
@@ -1241,6 +1249,23 @@ class TestClearingMutations:
 
         with pytest.raises(ConsistencyError, match="clearing relation has a non-unit entry"):
             self._build_with_first_relation(monkeypatch, cancel)
+
+    def test_only_the_first_relation_of_a_top_is_read(self):
+        s = build_slice(FIG8)
+        circles = {m: FIG8.resolution(m) for m in s.rows[-1]}
+        sources = tuple(m for m in range(1 << len(FIG8.crossings)) if m.bit_count() == FIG8.n_minus - 2)
+        r = next(_build_matrix(FIG8, sources, s.rows[-1], circles, {}))
+        # the same top, the lowest row's sign flipped: d_in . r' != 0
+        half, t = self._half_of_min(r)
+        flipped = [list(h) for h in r]
+        flipped[half].remove(t)
+        flipped[1 - half].append(t)
+        r2 = tuple(map(tuple, flipped))
+        top = max(r[0] + r[1])
+        assert max(r2[0] + r2[1]) == top
+        assert _check_slice(s, [r, r2]) == {top}
+        with pytest.raises(ConsistencyError, match=r"clearing relation: d_in \. d_-2 != 0"):
+            _check_slice(s, [r2, r])
 
     @staticmethod
     def _build_with_first_cleared_column(monkeypatch, corrupt):
