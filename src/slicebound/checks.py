@@ -15,7 +15,7 @@ from typing import Optional
 
 from .bounds import bound_Delta, bound_U, bounds_report, classic_bennequin, genus_bound_knot, genus_bound_link
 from .diagram import ConsistencyError, Diagram, ValidationError, mirror, validate
-from .lee_oracle import CrossingLimitError, build_slice, s_invariant
+from .lee_oracle import CrossingLimitError, build_slice, collector_paused, s_invariant
 from .notation import BraidWord, ParseError, braid_closure, is_reduced, parse_pd, random_braids, reduce_braid
 from .seifert import aux_graph, betti1_components
 
@@ -34,11 +34,13 @@ def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
     a knot invariant, so the oracle may run on any diagram of the knot; the
     reduced closure has at most as many crossings.  When ``word`` is None or
     already reduced, ``d`` itself is used.  ``limit`` applies to the diagram
-    the oracle runs on: a refusal concerns the reduced closure.
+    the oracle runs on: a refusal concerns the reduced closure.  The slice
+    lives and dies inside ``collector_paused``.
     """
     if word is not None and not is_reduced(word):
         d = braid_closure(reduce_braid(word))
-    return s_invariant(build_slice(d, limit))
+    with collector_paused():
+        return s_invariant(build_slice(d, limit))
 
 
 def run_table(rows, oracle_limit: Optional[int]):

@@ -14,12 +14,13 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from typing import Optional
 
 from .bounds import bounds_report, report_json_dict
 from .checks import TABLE_COLUMNS, bundled_table_path, knot_s, run_fuzz, run_table
 from .diagram import ConsistencyError, Diagram
-from .lee_oracle import DEFAULT_MAX_CROSSINGS, CrossingLimitError, build_slice
+from .lee_oracle import DEFAULT_MAX_CROSSINGS, CrossingLimitError, build_slice, collector_paused
 from .lee_oracle import filtration_profile, profile_jumps, s_invariant
 from .notation import BraidWord, ParseError, braid_closure, parse_braid, parse_pd
 
@@ -82,10 +83,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     d, _ = _load_input(args.pd, args.braid)
-    slice_ = build_slice(d, args.max_crossings)
-    profile = filtration_profile(slice_)
-    j2, j1 = profile_jumps(profile)
-    s = s_invariant(slice_)
+    with collector_paused():
+        slice_ = build_slice(d, args.max_crossings)
+        profile = filtration_profile(slice_)
+        j2, j1 = profile_jumps(profile)
+        s = s_invariant(slice_)
+        dims = {"-1": slice_.dim(-1), "0": slice_.dim(0), "1": slice_.dim(1)}
+        del slice_  # freed inside the pause: no collection walks it
     if s != j2 + 1:
         raise ConsistencyError(f"s = {s} disagrees with filtration jumps ({j2}, {j1})")
     payload = {
@@ -93,7 +97,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "s_min": s - 1,
         "jumps": [j2, j1],
         "profile": [[j, dim] for j, dim in profile.items()],
-        "dims": {"-1": slice_.dim(-1), "0": slice_.dim(0), "1": slice_.dim(1)},
+        "dims": dims,
     }
     _write_out(json.dumps(payload, indent=2), args.out)
     return 0
@@ -121,7 +125,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` leaves it unchanged, and
+    a fresh one per ``main`` call would leave ~250 cyclic objects behind."""
     parser = argparse.ArgumentParser(
         prog="slice-bound",
         description="Diagram-dependent bounds for the Rasmussen invariant, "

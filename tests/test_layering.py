@@ -32,6 +32,11 @@
   which computes s on the reduced braid word and is the only caller of
   ``reduce_braid``, and ``cmd_oracle``, which reports the diagram as given
   and never reduces.  Only these two call ``build_slice`` or ``s_invariant``.
+* Only ``lee_oracle`` turns the cyclic garbage collector off or on
+  (``gc.disable``, ``gc.enable``), in ``collector_paused``, and only
+  ``knot_s`` and ``cmd_oracle`` enter that pause.  Each calls
+  ``build_slice``, ``filtration_profile`` and ``s_invariant`` inside the
+  block, so a slice lives and dies with the collector paused.
 * The strand cycles are walked in one place: ``Diagram.strands`` is the only
   function that reads the successor map, and the component count, the PD
   export and the PD label-run rule read ``strands``.
@@ -252,3 +257,33 @@ def test_the_slot_table_is_the_one_incidence_table():
         assert "_slot_walk" in _names(functions[reader]), reader
     for reader in ("_check_structure", "is_connected", "is_alternating"):
         assert not any(map(_builds_a_dict, ast.walk(functions[reader]))), reader
+
+
+def _toggles_the_collector(node):
+    """True when ``node`` reads ``gc.disable`` or ``gc.enable``."""
+    return any(isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == "gc"
+               and sub.attr in ("disable", "enable") for sub in ast.walk(node))
+
+
+def test_only_the_oracle_pauses_the_collector():
+    togglers = [f"{filename}:{node.name}" for filename, tree in _trees().items()
+                for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and _toggles_the_collector(node)]
+    from_gc = [filename for filename, tree in _trees().items()
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "gc"]
+    assert togglers == ["lee_oracle.py:collector_paused"]
+    assert not from_gc
+    assert sorted(_callers("collector_paused")) == ["checks.py:knot_s", "cli.py:cmd_oracle"]
+
+
+def test_the_oracle_entries_run_inside_the_pause():
+    entries = ("build_slice", "filtration_profile", "s_invariant")
+    functions = {f"{filename}:{node.name}": node for filename, tree in _trees().items()
+                 for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for caller in ("checks.py:knot_s", "cli.py:cmd_oracle"):
+        fn = functions[caller]
+        called = sorted(name for name in _called_names(fn) if name in entries)
+        inside = sorted(name for node in ast.walk(fn) if isinstance(node, ast.With)
+                        and any("collector_paused" in _called_names(item.context_expr) for item in node.items)
+                        for stmt in node.body for name in _called_names(stmt) if name in entries)
+        assert {"build_slice", "s_invariant"} <= set(called), caller
+        assert inside == called, caller

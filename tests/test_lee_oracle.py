@@ -2,8 +2,11 @@
 
 import csv
 import dataclasses
+import gc
 import random
+import weakref
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
@@ -1313,3 +1316,127 @@ class TestClearingMutations:
 
         with pytest.raises(ConsistencyError, match=r"clearing relation: d_in \. d_-2 != 0"):
             self._build_with_first_cleared_column(monkeypatch, flip)
+
+
+# --- the cyclic collector is paused for each slice's life -----------------
+
+
+@contextmanager
+def _collector_off():
+    """The collector off for the block, after a collection of what the
+    test runner left behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestCollectorPause:
+    """The oracle's entries run each slice's whole life with the cyclic
+    collector paused (``collector_paused``), which rests on the slice
+    holding no reference cycle, and leave the collector as they found it."""
+
+    @pytest.mark.parametrize("argv", [["oracle", "--braid", "3: [-1,-2,2,-2,-1,1,-1,-1,1,2]"],
+                                      ["table", "--oracle"]])
+    def test_no_collection_runs_while_a_slice_lives(self, argv, monkeypatch, capsys):
+        # a slice lives from the call of build_slice until its last
+        # reference goes; a collection that starts in that span walks it
+        build = slicebound.lee_oracle.build_slice
+        building = []
+        slices = []
+
+        def tracked(*args, **kwargs):
+            building.append(True)
+            try:
+                s = build(*args, **kwargs)
+            finally:
+                building.pop()
+            slices.append(weakref.ref(s))
+            return s
+
+        for module in (slicebound.lee_oracle, slicebound.checks, slicebound.cli):
+            if getattr(module, "build_slice", None) is build:
+                monkeypatch.setattr(module, "build_slice", tracked)
+        started = []
+
+        def record(phase, info):
+            if phase == "start" and (building or any(ref() is not None for ref in slices)):
+                started.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            code = slicebound.cli.main(argv)
+        finally:
+            gc.callbacks.remove(record)
+        assert code == 0, capsys.readouterr().err
+        assert slices and all(ref() is None for ref in slices)
+        assert started == []
+
+    def test_the_oracle_paths_leave_no_cyclic_garbage(self):
+        knot_s = slicebound.checks.knot_s
+        knots = _table_knots()
+        words = [parse_braid(word) for word in ORACLE_MID_WORDS]
+        with _collector_off():
+            for d in knots + [braid_closure(w) for w in words]:
+                s = build_slice(d)
+                filtration_profile(s)
+                s_invariant(s)
+                del s
+                assert gc.collect() == 0
+            for w in words:
+                knot_s(braid_closure(w), w, 12)
+                assert gc.collect() == 0
+            try:
+                knot_s(braid_closure(words[0]), None, 9)
+            except CrossingLimitError:
+                pass
+            assert gc.collect() == 0
+
+    @staticmethod
+    def _oracle_runs(monkeypatch, capsys):
+        """Run ``knot_s`` and the ``oracle`` command to a normal return, to a
+        refusal and to a ``ConsistencyError`` raised in ``_check_slice``;
+        yields after each run."""
+        knot_s = slicebound.checks.knot_s
+        assert knot_s(FIG8, None, 12) == 0
+        yield
+        assert slicebound.cli.main(["oracle", "--braid", "2: [1,1,1]"]) == 0
+        yield
+        with pytest.raises(CrossingLimitError):
+            knot_s(FIG8, None, 3)
+        yield
+        assert slicebound.cli.main(["oracle", "--braid", "2: [1,1,1]", "--max-crossings", "2"]) == 2
+        yield
+
+        def failing(s, relations=()):
+            raise ConsistencyError("injected")
+
+        monkeypatch.setattr(slicebound.lee_oracle, "_check_slice", failing)
+        with pytest.raises(ConsistencyError, match="injected"):
+            knot_s(Diagram(FIG8.crossings), None, 12)
+        yield
+        assert slicebound.cli.main(["oracle", "--braid", "2: [1,1,1]"]) == 1
+        assert "injected" in capsys.readouterr().err
+        yield
+
+    def test_the_collector_is_on_again_after_every_exit(self, monkeypatch, capsys):
+        threshold = gc.get_threshold()
+        assert gc.isenabled()
+        runs = 0
+        for _ in self._oracle_runs(monkeypatch, capsys):
+            assert gc.isenabled()
+            assert gc.get_threshold() == threshold
+            runs += 1
+        assert runs == 6
+
+    def test_a_collector_the_caller_turned_off_stays_off(self, monkeypatch, capsys):
+        threshold = gc.get_threshold()
+        runs = 0
+        with _collector_off():
+            for _ in self._oracle_runs(monkeypatch, capsys):
+                assert not gc.isenabled()
+                assert gc.get_threshold() == threshold
+                runs += 1
+        assert runs == 6
