@@ -48,7 +48,14 @@ d_in . r = 0, and that d_out . d_in = 0 on the ``d_in`` columns no relation
 cleared.  The two zero tests are ``_composes_to_zero``, which compares the
 sorted targets of the +1 and -1 paths through the composite column and
 needs unit entries, so no relation reads a ``d_in`` column before its rows
-are checked distinct.
+are checked distinct.  Rows are checked distinct without a set per column:
+each differential gets one list ``last`` over its target rows, holding the
+index of the last column that named each row, which the loop that tests
+every entry's grading also reads and writes; a column finds its own index
+there only at a row it names twice.  The relations share one such list over
+C^-1, keyed by their ordinal in the stream.  The messages and their order
+are those of a set per column: a column with a repeated row and an
+unfiltered entry reports the unfiltered one.
 
 Coefficients are exact: matrices live over the integers, and every
 elimination step leaves an integer column that is a nonzero rational multiple
@@ -469,10 +476,16 @@ def _check_slice(s: LeeComplexSlice, relations: Iterable[Column] = ()) -> frozen
     maps have unit coefficients and distinct targets): a repeated row is the
     signed-row form of an entry 2 or 0, and ``_composes_to_zero`` needs every
     entry to be +-1.  So the rows of every column of ``d_in`` and ``d_out``
-    are checked first.  Then the relations are taken in the order given,
+    are checked first, in the loop that tests each entry's grading: a list
+    ``last`` per differential, one slot per target row, holds the index of
+    the last column that named the row, so a column meets its own index
+    only at a repeated row.  A hit only marks the column, which raises after
+    its loop, so an unfiltered entry anywhere in it is reported first, as
+    with a set per column.  Then the relations are taken in the order given,
     each by its top index j = max(r) first: a relation whose j is already
     cleared is skipped unread, since it could clear nothing more; any other
-    must have distinct rows and d_in . r = 0, and then j is cleared.  Last,
+    must have distinct rows (one ``last`` list over C^-1, keyed by the
+    relation's ordinal) and d_in . r = 0, and then j is cleared.  Last,
     d_out . d_in = 0 is tested one ``d_in`` column at a time, on the columns
     no relation cleared.  That covers the cleared ones by induction on the
     column index: r has unit entries, so d_in[j] = -+ sum_{i<j} r_i d_in[i],
@@ -481,21 +494,29 @@ def _check_slice(s: LeeComplexSlice, relations: Iterable[Column] = ()) -> frozen
     for src_deg, cols in ((-1, s.d_in), (0, s.d_out)):
         src_q = s.gradings[src_deg]
         tgt_q = s.gradings[src_deg + 1]
-        for q, (plus, minus) in zip(src_q, cols):
+        last = [-1] * len(tgt_q)  # row -> the last column that named it
+        for j, (q, (plus, minus)) in enumerate(zip(src_q, cols)):
+            repeated = False
             terms = plus + minus
             for t in terms:
                 if tgt_q[t] - q not in (0, 4):
                     raise ConsistencyError(f"differential is not filtered: {q} -> {tgt_q[t]}")
-            if len(set(terms)) < len(terms):
+                if last[t] == j:
+                    repeated = True
+                last[t] = j
+            if repeated:
                 raise ConsistencyError(f"differential has a non-unit entry: {_repeated(terms)}")
     cleared: set[int] = set()
-    for r in relations:
+    last = [-1] * len(s.d_in)  # C^-1 row -> the last relation that named it
+    for k, r in enumerate(relations):
         terms = r[0] + r[1]
         j = max(terms)
         if j in cleared:
             continue
-        if len(set(terms)) < len(terms):
-            raise ConsistencyError(f"clearing relation has a non-unit entry: {_repeated(terms)}")
+        for t in terms:
+            if last[t] == k:
+                raise ConsistencyError(f"clearing relation has a non-unit entry: {_repeated(terms)}")
+            last[t] = k
         if not _composes_to_zero(s.d_in, r):
             raise ConsistencyError("clearing relation: d_in . d_-2 != 0")
         cleared.add(j)

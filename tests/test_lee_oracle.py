@@ -1196,6 +1196,120 @@ class TestCheckSliceMutations:
         with pytest.raises(ConsistencyError, match=f"not filtered: {src_q} -> {q0[first]}$"):
             _check_slice(self._with_column(fig8, "d_in", j, col))
 
+    @pytest.mark.parametrize("matrix", ["d_in", "d_out"])
+    def test_unfiltered_entry_after_a_repeated_row_is_reported(self, fig8, matrix):
+        # the column's first row named again at its head, so the repeat
+        # comes first in column order and the unfiltered entry last: the
+        # column still reports the unfiltered entry
+        j, t = self._entry(fig8)
+        src_deg = -1
+        if matrix == "d_out":
+            j, src_deg = t, 0
+        plus, minus = getattr(fig8, matrix)[j]
+        src_q = fig8.gradings[src_deg][j]
+        tgt_q = fig8.gradings[src_deg + 1]
+        bad = next(i for i, q in enumerate(tgt_q) if q - src_q not in (0, 4) and i not in plus + minus)
+        col = (((plus + minus)[0],) + plus, minus + (bad,))
+        with pytest.raises(ConsistencyError, match=f"not filtered: {src_q} -> {tgt_q[bad]}$"):
+            _check_slice(self._with_column(fig8, matrix, j, col))
+
+
+def _reference_check(s, relations=()):
+    """``_check_slice`` by the per-column rule: every filter test of a
+    column, then a set of its rows; the composites as exact products."""
+    for src_deg, cols in ((-1, s.d_in), (0, s.d_out)):
+        src_q = s.gradings[src_deg]
+        tgt_q = s.gradings[src_deg + 1]
+        for q, (plus, minus) in zip(src_q, cols):
+            terms = plus + minus
+            for t in terms:
+                if tgt_q[t] - q not in (0, 4):
+                    raise ConsistencyError(f"differential is not filtered: {q} -> {tgt_q[t]}")
+            if len(set(terms)) < len(terms):
+                twice = sorted(t for t, k in Counter(terms).items() if k > 1)
+                raise ConsistencyError(f"differential has a non-unit entry: rows {twice} repeat")
+    d_in = [_entries(col) for col in s.d_in]
+    d_out = [_entries(col) for col in s.d_out]
+    cleared = set()
+    for r in relations:
+        terms = r[0] + r[1]
+        j = max(terms)
+        if j in cleared:
+            continue
+        if len(set(terms)) < len(terms):
+            twice = sorted(t for t, k in Counter(terms).items() if k > 1)
+            raise ConsistencyError(f"clearing relation has a non-unit entry: rows {twice} repeat")
+        if _product(d_in, _entries(r)):
+            raise ConsistencyError("clearing relation: d_in . d_-2 != 0")
+        cleared.add(j)
+    for j, col in enumerate(d_in):
+        if j not in cleared and _product(d_out, col):
+            raise ConsistencyError("d_out . d_in != 0")
+    return frozenset(cleared)
+
+
+def _outcome(check, s, relations):
+    try:
+        return "passes", check(s, relations)
+    except ConsistencyError as e:
+        return "raises", str(e)
+
+
+_CORRUPTIBLE = {}
+
+
+def _corruptible(name):
+    """The built slice of FIG8 or TREFOIL, and its d_-2 relations."""
+    if name not in _CORRUPTIBLE:
+        d = {"figure-eight": FIG8, "trefoil": TREFOIL}[name]
+        s = build_slice(d)
+        circles = {m: d.resolution(m) for m in s.rows[-1]}
+        sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
+        _CORRUPTIBLE[name] = s, tuple(_build_matrix(d, sources, s.rows[-1], circles, {}))
+    return _CORRUPTIBLE[name]
+
+
+class TestCheckSliceReference:
+    """Random corruptions of built slices and their relations: ``_check_slice``
+    raises exactly the message of the per-column reference, or passes with
+    the same cleared set where the reference passes."""
+
+    def test_relations_reach_the_reference(self):
+        s, relations = _corruptible("figure-eight")
+        assert relations and _reference_check(s, relations) == _check_slice(s, relations) == build_slice(FIG8).cleared
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_column_reference(self, data):
+        s, relations = _corruptible(data.draw(st.sampled_from(("figure-eight", "trefoil"))))
+        mats = {"d_in": list(s.d_in), "d_out": list(s.d_out), "relations": list(relations)}
+        target = {"d_in": s.gradings[0], "d_out": s.gradings[1], "relations": s.gradings[-1]}
+        which = j = None
+        for _ in range(data.draw(st.integers(1, 3))):
+            # each corruption after the first may hit the column before it again
+            if which is None or not data.draw(st.booleans()):
+                which = data.draw(st.sampled_from([m for m, cols in mats.items() if any(map(any, cols))]))
+                j = data.draw(st.sampled_from([j for j, col in enumerate(mats[which]) if any(col)]))
+            halves = [list(half) for half in mats[which][j]]
+            if not any(halves):
+                continue
+            h = data.draw(st.sampled_from([h for h in (0, 1) if halves[h]]))
+            i = data.draw(st.integers(0, len(halves[h]) - 1))
+            t = halves[h][i]
+            kind = data.draw(st.sampled_from(("own half", "other half", "other grading", "deleted")))
+            if kind == "deleted":
+                del halves[h][i]
+            elif kind == "other grading":
+                q = target[which]
+                halves[h][i] = data.draw(st.sampled_from([u for u in range(len(q)) if q[u] != q[t]]))
+            else:
+                dest = h if kind == "own half" else 1 - h
+                halves[dest].insert(data.draw(st.integers(0, len(halves[dest]))), t)
+            mats[which][j] = tuple(map(tuple, halves))
+        corrupted = dataclasses.replace(s, d_in=tuple(mats["d_in"]), d_out=tuple(mats["d_out"]))
+        rels = [r for r in mats["relations"] if any(r)]
+        assert _outcome(_check_slice, corrupted, rels) == _outcome(_reference_check, corrupted, rels)
+
 
 class TestClearingMutations:
     """A corrupted d_-2 relation raises in ``build_slice``, and the message
