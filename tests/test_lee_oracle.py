@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import gc
 import random
 import weakref
@@ -1214,6 +1215,10 @@ class TestCheckSliceMutations:
             _check_slice(self._with_column(fig8, matrix, j, col))
 
 
+def _twice(terms):
+    return f"rows {sorted(t for t, k in Counter(terms).items() if k > 1)} repeat"
+
+
 def _reference_check(s, relations=()):
     """``_check_slice`` by the per-column rule: every filter test of a
     column, then a set of its rows; the composites as exact products."""
@@ -1226,8 +1231,7 @@ def _reference_check(s, relations=()):
                 if tgt_q[t] - q not in (0, 4):
                     raise ConsistencyError(f"differential is not filtered: {q} -> {tgt_q[t]}")
             if len(set(terms)) < len(terms):
-                twice = sorted(t for t, k in Counter(terms).items() if k > 1)
-                raise ConsistencyError(f"differential has a non-unit entry: rows {twice} repeat")
+                raise ConsistencyError(f"differential has a non-unit entry: {_twice(terms)}")
     d_in = [_entries(col) for col in s.d_in]
     d_out = [_entries(col) for col in s.d_out]
     cleared = set()
@@ -1237,8 +1241,7 @@ def _reference_check(s, relations=()):
         if j in cleared:
             continue
         if len(set(terms)) < len(terms):
-            twice = sorted(t for t, k in Counter(terms).items() if k > 1)
-            raise ConsistencyError(f"clearing relation has a non-unit entry: rows {twice} repeat")
+            raise ConsistencyError(f"clearing relation has a non-unit entry: {_twice(terms)}")
         if _product(d_in, _entries(r)):
             raise ConsistencyError("clearing relation: d_in . d_-2 != 0")
         cleared.add(j)
@@ -1255,18 +1258,14 @@ def _outcome(check, s, relations):
         return "raises", str(e)
 
 
-_CORRUPTIBLE = {}
-
-
+@functools.cache
 def _corruptible(name):
     """The built slice of FIG8 or TREFOIL, and its d_-2 relations."""
-    if name not in _CORRUPTIBLE:
-        d = {"figure-eight": FIG8, "trefoil": TREFOIL}[name]
-        s = build_slice(d)
-        circles = {m: d.resolution(m) for m in s.rows[-1]}
-        sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
-        _CORRUPTIBLE[name] = s, tuple(_build_matrix(d, sources, s.rows[-1], circles, {}))
-    return _CORRUPTIBLE[name]
+    d = {"figure-eight": FIG8, "trefoil": TREFOIL}[name]
+    s = build_slice(d)
+    circles = {m: d.resolution(m) for m in s.rows[-1]}
+    sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
+    return s, tuple(_build_matrix(d, sources, s.rows[-1], circles, {}))
 
 
 class TestCheckSliceReference:
@@ -1307,7 +1306,7 @@ class TestCheckSliceReference:
                 halves[dest].insert(data.draw(st.integers(0, len(halves[dest]))), t)
             mats[which][j] = tuple(map(tuple, halves))
         corrupted = dataclasses.replace(s, d_in=tuple(mats["d_in"]), d_out=tuple(mats["d_out"]))
-        rels = [r for r in mats["relations"] if any(r)]
+        rels = [r for r in mats["relations"] if any(r)]  # an emptied relation has no top index
         assert _outcome(_check_slice, corrupted, rels) == _outcome(_reference_check, corrupted, rels)
 
 
