@@ -1,25 +1,58 @@
 """The table and fuzz engines behind the ``table`` and ``fuzz`` commands,
-and ``knot_s``, the one way they and ``bound --oracle`` reach the oracle.
+and the two ways any command reaches the oracle: ``knot_s``, for the engines
+and ``bound --oracle``, and ``oracle_report``, for the ``oracle`` command.
 
-Both engines return plain data for ``cli`` to format.  Whether the oracle
-refuses a diagram is decided in ``lee_oracle`` alone: a refused table row
-leaves ``s_oracle`` blank and a refused fuzz case skips the sandwich.
+Both engines and ``oracle_report`` return plain data for ``cli`` to format.
+Whether the oracle refuses a diagram is decided in ``lee_oracle`` alone: a
+refused table row leaves ``s_oracle`` blank and a refused fuzz case skips
+the sandwich.
+
+Garbage collection: a Lee slice and the work on it allocate tens of
+thousands of tuples, lists and dicts and hold no reference cycle, so
+reference counting frees all of them, yet CPython's cyclic collector starts
+every 700 net allocations and walks the live ones: 79 collections inside
+``build_slice`` in one ``oracle-mid`` round, 768 in one oracle call on a
+14-crossing word.  ``knot_s`` and ``oracle_report`` therefore run a slice's
+whole life, from ``build_slice`` to its last read, inside
+``_collector_paused()``, and release the slice before the block ends, so a
+collection that starts once the block ends finds no slice to walk.  No
+other code pauses the collector.  ``gc.disable`` is process-wide: when two
+threads run oracle calls at once, the first to finish turns the collector
+back on while the other's slice is live, which costs time, never
+correctness.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
+import gc
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from importlib.resources import files
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bounds import bound_Delta, bound_U, bounds_report, classic_bennequin, genus_bound_knot, genus_bound_link
 from .diagram import ConsistencyError, Diagram, ValidationError, mirror, validate
-from .lee_oracle import CrossingLimitError, build_slice, collector_paused, s_invariant
+from .lee_oracle import CrossingLimitError, build_slice, filtration_profile, profile_jumps, s_invariant
 from .notation import BraidWord, ParseError, braid_closure, is_reduced, parse_pd, random_braids, reduce_braid
 from .seifert import aux_graph, betti1_components
 
 TABLE_COLUMNS = ["name", "U", "Delta", "s_lower", "s_upper", "s_oracle", "known_s", "status", "detail"]
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Turn CPython's cyclic garbage collector off for the block, and back
+    on when it ends, also on an exception; a collector that was already off
+    stays off, and the thresholds are left alone.  Wrap a slice's whole life
+    in it and release the slice inside (module docstring, Garbage
+    collection)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def bundled_table_path() -> str:
@@ -35,12 +68,39 @@ def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
     reduced closure has at most as many crossings.  When ``word`` is None or
     already reduced, ``d`` itself is used.  ``limit`` applies to the diagram
     the oracle runs on: a refusal concerns the reduced closure.  The slice
-    lives and dies inside ``collector_paused``.
+    lives and dies inside ``_collector_paused``.
     """
     if word is not None and not is_reduced(word):
         d = braid_closure(reduce_braid(word))
-    with collector_paused():
+    with _collector_paused():
         return s_invariant(build_slice(d, limit))
+
+
+def oracle_report(d: Diagram, limit: int) -> dict:
+    """The ``oracle`` command's payload for ``d`` as given, never reduced:
+    ``s``, ``s_min``, the filtration jumps, the profile and the dimensions
+    of C^-1, C^0 and C^1.
+
+    The slice is built, read and released inside ``_collector_paused``.
+    Raises ``ConsistencyError`` when ``s`` disagrees with the profile's
+    jumps, and ``CrossingLimitError`` when ``d`` exceeds ``limit``.
+    """
+    with _collector_paused():
+        slice_ = build_slice(d, limit)
+        profile = filtration_profile(slice_)
+        j2, j1 = profile_jumps(profile)
+        s = s_invariant(slice_)
+        dims = {"-1": slice_.dim(-1), "0": slice_.dim(0), "1": slice_.dim(1)}
+        del slice_  # freed inside the pause: no collection walks it
+    if s != j2 + 1:
+        raise ConsistencyError(f"s = {s} disagrees with filtration jumps ({j2}, {j1})")
+    return {
+        "s": s,
+        "s_min": s - 1,
+        "jumps": [j2, j1],
+        "profile": [[j, dim] for j, dim in profile.items()],
+        "dims": dims,
+    }
 
 
 def run_table(rows, oracle_limit: Optional[int]):

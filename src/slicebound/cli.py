@@ -1,10 +1,11 @@
 """Command-line entry points: bound, oracle, table, fuzz.
 
 Only argument parsing, input loading, output formatting and exit codes live
-here; the table and fuzz engines are in ``checks``.  Exit codes: 0 success,
-1 property violation / mismatch / internal inconsistency, 2 parse or usage
-error, or a file that cannot be read or written.  Outputs are deterministic:
-the same arguments produce byte-identical reports.
+here; the table and fuzz engines and every oracle session are in ``checks``.
+Exit codes: 0 success, 1 property violation / mismatch / internal
+inconsistency, 2 parse or usage error (a negative ``--max-crossings`` too),
+or a file that cannot be read or written.  Outputs are deterministic: the
+same arguments produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from functools import cache
 from typing import Optional
 
 from .bounds import bounds_report, report_json_dict
-from .checks import TABLE_COLUMNS, bundled_table_path, knot_s, run_fuzz, run_table
+from .checks import TABLE_COLUMNS, bundled_table_path, knot_s, oracle_report, run_fuzz, run_table
 from .diagram import ConsistencyError, Diagram
-from .lee_oracle import DEFAULT_MAX_CROSSINGS, CrossingLimitError, build_slice, collector_paused
-from .lee_oracle import filtration_profile, profile_jumps, s_invariant
+from .lee_oracle import DEFAULT_MAX_CROSSINGS, CrossingLimitError
 from .notation import BraidWord, ParseError, braid_closure, parse_braid, parse_pd
 
 
@@ -83,23 +83,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     d, _ = _load_input(args.pd, args.braid)
-    with collector_paused():
-        slice_ = build_slice(d, args.max_crossings)
-        profile = filtration_profile(slice_)
-        j2, j1 = profile_jumps(profile)
-        s = s_invariant(slice_)
-        dims = {"-1": slice_.dim(-1), "0": slice_.dim(0), "1": slice_.dim(1)}
-        del slice_  # freed inside the pause: no collection walks it
-    if s != j2 + 1:
-        raise ConsistencyError(f"s = {s} disagrees with filtration jumps ({j2}, {j1})")
-    payload = {
-        "s": s,
-        "s_min": s - 1,
-        "jumps": [j2, j1],
-        "profile": [[j, dim] for j, dim in profile.items()],
-        "dims": dims,
-    }
-    _write_out(json.dumps(payload, indent=2), args.out)
+    _write_out(json.dumps(oracle_report(d, args.max_crossings), indent=2), args.out)
     return 0
 
 
@@ -175,6 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.max_crossings < 0:
+        parser.error(f"--max-crossings must be >= 0, got {args.max_crossings}")
     handlers = {"bound": cmd_bound, "oracle": cmd_oracle, "table": cmd_table, "fuzz": cmd_fuzz}
     try:
         return handlers[args.command](args)

@@ -114,26 +114,15 @@ to zero instead of 1570 in ascending mask order.
 The slice is the one handle for every read: ``build_slice`` is the only entry
 that takes a diagram or a crossing limit, and ``canonical_cycles``,
 ``s_invariant`` and ``filtration_profile`` take the slice alone and read its
-diagram from it.
-
-Garbage collection: a slice and the work on it allocate tens of thousands of
-tuples, lists and dicts and hold no reference cycle, so reference counting
-frees all of them, yet CPython's cyclic collector starts every 700 net
-allocations and walks the live ones: 79 collections inside ``build_slice``
-in one ``oracle-mid`` round, 768 in one oracle call on a 14-crossing word.
-Callers therefore run a slice's whole life, from ``build_slice`` to its last
-read, inside ``collector_paused()``, and release the slice before the block
-ends, so a collection that starts once the block ends finds no slice to walk.
-``gc.disable`` is process-wide: when two threads run oracle calls at once,
-the first to finish turns the collector back on while the other's slice is
-live, which costs time, never correctness.
+diagram from it.  Nothing here touches process-wide state.  Within the
+package only ``checks`` runs the oracle, and it runs each slice's life with
+CPython's cyclic collector paused (its docstring says why); a library caller
+that builds slices itself runs them with the collector as it finds it.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, repeat
@@ -151,21 +140,6 @@ class CrossingLimitError(ValueError):
 
 
 DEFAULT_MAX_CROSSINGS = 12
-
-
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Turn CPython's cyclic garbage collector off for the block, and back
-    on when it ends, also on an exception; a collector that was already off
-    stays off.  Wrap a slice's whole life in it and release the slice
-    inside (module docstring, Garbage collection)."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 # one column of a differential: (rows of its +1 entries, rows of its -1 entries)

@@ -143,6 +143,33 @@ class TestOracleCommand:
         code, _, err = run_cli(capsys, "oracle", "--braid", "2: [1,1]")
         assert code == 2
 
+    def test_s_that_disagrees_with_the_jumps_is_an_internal_error(self, monkeypatch, capsys):
+        s_invariant = slicebound.checks.s_invariant
+        monkeypatch.setattr(slicebound.checks, "s_invariant", lambda s: s_invariant(s) + 2)
+        code, out, err = run_cli(capsys, "oracle", "--braid", "2: [1,1,1]")
+        assert (code, out) == (1, "")
+        assert err == "internal consistency error: s = 4 disagrees with filtration jumps (1, 3)\n"
+
+
+class TestCrossingLimitOption:
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--braid", "2: [1,1,1]", "--oracle"),
+        ("oracle", "--braid", "2: [1,1,1]"),
+        ("table", "--oracle"),
+        ("fuzz", "--count", "200", "--seed", "7", "--oracle"),
+    ])
+    def test_negative_limit_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--max-crossings", "-1"])
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (2, "")
+        assert err.endswith("error: --max-crossings must be >= 0, got -1\n")
+
+    def test_zero_admits_the_crossingless_unknot(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--braid", "1: []", "--max-crossings", "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["s"] == 0
+
 
 class TestTableCommand:
     def test_bundled_table_clean(self, capsys):

@@ -28,15 +28,20 @@
   outlives a call: no mutable container at module or class level, and no
   ``functools.cache`` or ``lru_cache``, so a repeated call in one process
   starts from nothing.
-* The oracle is reached in two places outside ``lee_oracle``: ``knot_s``,
-  which computes s on the reduced braid word and is the only caller of
-  ``reduce_braid``, and ``cmd_oracle``, which reports the diagram as given
-  and never reduces.  Only these two call ``build_slice`` or ``s_invariant``.
-* Only ``lee_oracle`` turns the cyclic garbage collector off or on
-  (``gc.disable``, ``gc.enable``), in ``collector_paused``, and only
-  ``knot_s`` and ``cmd_oracle`` enter that pause.  Each calls
+* The oracle is reached in two places outside ``lee_oracle``, both in
+  ``checks``: ``knot_s``, which computes s on the reduced braid word and is
+  the only caller of ``reduce_braid``, and ``oracle_report``, the ``oracle``
+  command's session, which reports the diagram as given and never reduces.
+  Only these two call ``build_slice`` or ``s_invariant``; ``cmd_oracle``
+  calls ``oracle_report`` and none of the oracle's entries, and ``cli``
+  imports from ``lee_oracle`` only ``DEFAULT_MAX_CROSSINGS`` and
+  ``CrossingLimitError``.
+* Only ``checks`` turns the cyclic garbage collector off or on
+  (``gc.disable``, ``gc.enable``), in ``_collector_paused``, and only
+  ``knot_s`` and ``oracle_report`` enter that pause.  Each calls
   ``build_slice``, ``filtration_profile`` and ``s_invariant`` inside the
   block, so a slice lives and dies with the collector paused.
+  ``lee_oracle`` imports no ``gc`` and defines no pause.
 * The strand cycles are walked in one place: ``Diagram.strands`` is the only
   function that reads the successor map, and the component count, the PD
   export and the PD label-run rule read ``strands``.
@@ -233,16 +238,32 @@ def test_no_module_writes_into_an_object_dict():
     assert not found
 
 
+def _functions(filename):
+    return {node.name: node for node in _trees()[filename].body if isinstance(node, ast.FunctionDef)}
+
+
 def test_the_oracle_command_never_reduces():
-    functions = {node.name: node for node in _trees()["cli.py"].body if isinstance(node, ast.FunctionDef)}
-    called = set(_called_names(functions["cmd_oracle"]))
-    assert not called & {"knot_s", "reduce_braid", "is_reduced"}
-    assert {"build_slice", "s_invariant"} <= called
+    command = set(_called_names(_functions("cli.py")["cmd_oracle"]))
+    session = set(_called_names(_functions("checks.py")["oracle_report"]))
+    assert "oracle_report" in command
+    for called in (command, session):
+        assert not called & {"knot_s", "reduce_braid", "is_reduced"}
+    assert {"build_slice", "s_invariant"} <= session
 
 
 def test_only_knot_s_and_the_oracle_command_run_the_oracle():
     for entry in ("build_slice", "s_invariant"):
-        assert sorted(_callers(entry, skip={"lee_oracle.py"})) == ["checks.py:knot_s", "cli.py:cmd_oracle"]
+        assert sorted(_callers(entry, skip={"lee_oracle.py"})) == ["checks.py:knot_s", "checks.py:oracle_report"]
+
+
+def test_cli_reaches_the_oracle_only_through_checks():
+    imported = sorted(alias.name for node in ast.walk(_trees()["cli.py"])
+                      if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("lee_oracle")
+                      for alias in node.names)
+    assert imported == ["CrossingLimitError", "DEFAULT_MAX_CROSSINGS"]
+    called = [name for name in _names(_trees()["cli.py"])
+              if name in ("build_slice", "filtration_profile", "profile_jumps", "s_invariant")]
+    assert called == []
 
 
 def _builds_a_dict(node):
@@ -270,20 +291,28 @@ def test_only_the_oracle_pauses_the_collector():
                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and _toggles_the_collector(node)]
     from_gc = [filename for filename, tree in _trees().items()
                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "gc"]
-    assert togglers == ["lee_oracle.py:collector_paused"]
+    assert togglers == ["checks.py:_collector_paused"]
     assert not from_gc
-    assert sorted(_callers("collector_paused")) == ["checks.py:knot_s", "cli.py:cmd_oracle"]
+    assert sorted(_callers("_collector_paused")) == ["checks.py:knot_s", "checks.py:oracle_report"]
+
+
+def test_the_oracle_module_has_no_pause():
+    tree = _trees()["lee_oracle.py"]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "gc" not in imported and "gc" not in _names(tree)
+    assert not [name for name in [*defined, *_names(tree)] if "collector_paused" in name]
 
 
 def test_the_oracle_entries_run_inside_the_pause():
     entries = ("build_slice", "filtration_profile", "s_invariant")
     functions = {f"{filename}:{node.name}": node for filename, tree in _trees().items()
                  for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for caller in ("checks.py:knot_s", "cli.py:cmd_oracle"):
+    for caller in ("checks.py:knot_s", "checks.py:oracle_report"):
         fn = functions[caller]
         called = sorted(name for name in _called_names(fn) if name in entries)
         inside = sorted(name for node in ast.walk(fn) if isinstance(node, ast.With)
-                        and any("collector_paused" in _called_names(item.context_expr) for item in node.items)
+                        and any("_collector_paused" in _called_names(item.context_expr) for item in node.items)
                         for stmt in node.body for name in _called_names(stmt) if name in entries)
         assert {"build_slice", "s_invariant"} <= set(called), caller
         assert inside == called, caller

@@ -249,7 +249,7 @@ class TestOnePass:
 
         for name in counts:
             fn = getattr(slicebound.lee_oracle, name)
-            for module in (slicebound.lee_oracle, slicebound.cli):
+            for module in (slicebound.lee_oracle, slicebound.checks):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counting(name, fn))
         pd = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -1447,9 +1447,11 @@ def _collector_off():
 
 
 class TestCollectorPause:
-    """The oracle's entries run each slice's whole life with the cyclic
-    collector paused (``collector_paused``), which rests on the slice
-    holding no reference cycle, and leave the collector as they found it."""
+    """``knot_s`` and ``oracle_report``, the two oracle sessions of
+    ``checks``, run each slice's whole life with the cyclic collector paused
+    (``checks._collector_paused``), which rests on the slice holding no
+    reference cycle, and leave the collector and its thresholds as they
+    found them."""
 
     @pytest.mark.parametrize("argv", [["oracle", "--braid", "3: [-1,-2,2,-2,-1,1,-1,-1,1,2]"],
                                       ["table", "--oracle"]])
