@@ -83,7 +83,8 @@ echelon would reduce it to zero; skipping it changes no pivot, hence not
 relations.  ``build_slice`` streams every column of d_-2 through the one
 matrix builder, which resolves each degree -2 vertex as it reaches it, into
 ``_check_slice``; degree -2 is never stored, neither its columns nor its
-resolutions.  ``_check_slice`` is the one record of what is cleared: it
+resolutions, and only the degree -1 resolutions, its targets, are kept
+while it streams.  ``_check_slice`` is the one record of what is cleared: it
 verifies the first relation of each top index exactly as it arrives, drops
 a relation whose top is already cleared without reading it further, and
 returns the top indices of the verified ones, which ``build_slice`` stores
@@ -123,6 +124,7 @@ that builds slices itself runs them with the collector as it finds it.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, repeat
@@ -165,8 +167,10 @@ class LeeComplexSlice:
     order changes fill-in.  ``d_in`` maps C^-1 -> C^0 and ``d_out`` maps
     C^0 -> C^1, stored one immutable signed row pair (``Column``) per source
     generator: the target rows of its +1 entries, then those of its -1
-    entries, no row named twice (``_check_slice``).  The echelons turn a
-    column into a {row: +-1} dict only when they reduce it.
+    entries, no row named twice (``_check_slice``).  The echelons keep a
+    column they take without reduction as a ``_ColumnView`` of its row
+    pair, and build a {row: +-1} dict of a column only when a reduction
+    reads it.
     """
 
     diagram: Diagram
@@ -180,13 +184,14 @@ class LeeComplexSlice:
         return len(self.gradings[degree])
 
     @cached_property
-    def din_echelon(self) -> dict[int, dict[int, int]]:
+    def din_echelon(self) -> dict[int, Mapping[int, int]]:
         """Column echelon of ``d_in``, {low row: primitive column}; computed
         once per slice, on first use.  The ``cleared`` columns lie in the span
-        of the columns before them and are skipped, which changes no pivot;
-        every other column becomes a working dict once."""
+        of the columns before them and are skipped, which changes no pivot.
+        Every other column is handed over as its stored row pair, so a pivot
+        is a dict only once a reduction has read it (``_add_column``)."""
         cleared = self.cleared
-        return _column_echelon(_as_dict(col) for j, col in enumerate(self.d_in) if j not in cleared)
+        return _column_echelon(col for j, col in enumerate(self.d_in) if j not in cleared)
 
 
 def _label_gradings(k: int, shift: int) -> list[int]:
@@ -307,7 +312,8 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     every degree.  Masks keep the crossing numbering of ``d``, which the
     slice keeps as its ``diagram``.  The columns of d_-2 come from the same
     builder, streamed into ``_check_slice``, which verifies them and returns
-    the cleared set; they are not kept.
+    the cleared set; they are not kept, and neither are the degree 0 and 1
+    resolutions while they stream.
     """
     validate(d)
     if not d.is_connected or not d.is_knot:
@@ -362,6 +368,9 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
         d_out=tuple(d_out),
         cleared=frozenset(),
     )
+    # the relations' targets are the degree -1 vertices: the degree 0 and 1
+    # resolutions are released before d_-2 streams through the check
+    circles = {m: circles[m] for m in vertices[-1]}
     # _check_slice reads the relations only after d_in's rows are checked distinct
     relations = _build_matrix(d, _vertices(perm, n_minus - 2), rows[-1], circles, gathers)
     return replace(slice_, cleared=_check_slice(slice_, relations))
@@ -573,13 +582,50 @@ def canonical_cycles(s: LeeComplexSlice) -> tuple[CanonicalCycle, CanonicalCycle
 # order of C^-1, which is why C^-1 is not sorted by grading.
 #
 # Stored pivots are primitive.  A column whose low is new and whose low entry
-# is +-1 needs no elimination and is stored as it is (``_add_column``), so
-# one ``oracle-mid`` round calls ``_reduce_against`` 1559 times, not 17850.
-# Any other column is reduced in place: when the pivot entry divides the
-# column entry it subtracts that multiple of the pivot, otherwise it
-# rescales by a non-unit, subtracts, and is stripped.
+# is +-1 needs no elimination and becomes its pivot as it is (``_add_column``),
+# so one ``oracle-mid`` round calls ``_reduce_against`` 1559 times, not 17850.
+# Both echelons take stored row pairs, and such a pivot stays a
+# ``_ColumnView`` of its pair until a reduction reads it and replaces it by
+# its dict: one round builds 3536 dicts from stored columns, not 17840 (on
+# 14b a reduction reads 7908 of the 55562 d_in pivots and 3666 of the 53576
+# profile pivots).  Any other column is reduced in place: when the pivot
+# entry divides the column entry it subtracts that multiple of the pivot,
+# otherwise it rescales by a non-unit, subtracts, and is stripped.
 # Either way the result is a nonzero rational multiple of the exact-rational
 # reduction, so lows and ranks are those of elimination over Q.
+
+
+class _ColumnView(Mapping):
+    """A read-only {row: +-1} view of a stored signed row pair, the form in
+    which an echelon keeps a pivot that no reduction has read yet."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: Column) -> None:
+        self.pair = pair
+
+    def __getitem__(self, row: int) -> int:
+        plus, minus = self.pair
+        if row in plus:
+            return 1
+        if row in minus:
+            return -1
+        raise KeyError(row)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain(*self.pair)
+
+    def __len__(self) -> int:
+        plus, minus = self.pair
+        return len(plus) + len(minus)
+
+    def values(self) -> tuple[int, ...]:
+        plus, minus = self.pair
+        return (1,) * len(plus) + (-1,) * len(minus)
+
+    def items(self) -> list[tuple[int, int]]:
+        plus, minus = self.pair
+        return [*zip(plus, repeat(1)), *zip(minus, repeat(-1))]
 
 
 def _strip(col: dict[int, int]) -> dict[int, int]:
@@ -592,18 +638,21 @@ def _strip(col: dict[int, int]) -> dict[int, int]:
     return {p: v // g for p, v in col.items()}
 
 
-def _reduce_against(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+def _reduce_against(col: dict[int, int], pivots: dict[int, Mapping[int, int]]) -> dict[int, int]:
     """Reduce ``col`` until its low has no pivot; returns the reduced column.
 
     ``col`` belongs to the caller and is updated in place, except that a
     non-unit rescale replaces it by a fresh stripped dict: always use the
-    returned column.
+    returned column.  A pivot read here that is still a ``_ColumnView``
+    is replaced in ``pivots`` by its dict first.
     """
     while col:
         low = min(col)
         piv = pivots.get(low)
         if piv is None:
             break
+        if type(piv) is _ColumnView:
+            piv = pivots[low] = _as_dict(piv.pair)
         a, b = col[low], piv[low]
         f, r = divmod(a, b)
         if r:
@@ -631,30 +680,44 @@ def _as_dict(col: Column) -> dict[int, int]:
     return out
 
 
-def _add_column(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> None:
-    """Take ``col`` into the echelon ``pivots``: a nonzero reduction of it
-    becomes the pivot at its low.
+def _add_column(col: dict[int, int] | Column, pivots: dict[int, Mapping[int, int]]) -> None:
+    """Take ``col``, a dict or a stored signed row pair, into the echelon
+    ``pivots``: a nonzero reduction of it becomes the pivot at its low.
 
     A column whose low has no pivot yet and whose low entry is +-1, hence
-    primitive, is its own reduction and becomes the pivot as it is, with no
-    elimination and no copy; every other column is reduced, and a nonzero
-    reduction is stripped into a compact copy.  The column is the echelon's
-    own, so the caller hands over a fresh dict and keeps no reference to it.
+    primitive, is its own reduction and becomes the pivot with no
+    elimination and no copy: a dict as it is, a row pair, whose entries are
+    all +-1, as a ``_ColumnView``.  Every other column is reduced, a row
+    pair as a fresh dict, and a nonzero reduction is stripped into a compact
+    copy.  A dict column is the echelon's own, so the caller hands over a
+    fresh dict and keeps no reference to it.
     """
-    if col:
+    if type(col) is tuple:
+        terms = col[0] + col[1]
+        if not terms:
+            return
+        low = min(terms)
+        if low not in pivots:
+            pivots[low] = _ColumnView(col)
+            return
+        col = _as_dict(col)
+    else:
+        if not col:
+            return
         low = min(col)
         if low not in pivots and col[low] in (1, -1):
             pivots[low] = col
             return
-        red = _reduce_against(col, pivots)
-        if red:
-            pivots[min(red)] = _strip(red)
+    red = _reduce_against(col, pivots)
+    if red:
+        pivots[min(red)] = _strip(red)
 
 
-def _column_echelon(columns: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _column_echelon(columns: Iterable[dict[int, int] | Column]) -> dict[int, Mapping[int, int]]:
     """{low: primitive column} for the span of ``columns``, each taken in
-    turn by ``_add_column``, so the caller hands over fresh dicts."""
-    pivots: dict[int, dict[int, int]] = {}
+    turn by ``_add_column``, so the caller hands over fresh dicts or stored
+    row pairs."""
+    pivots: dict[int, Mapping[int, int]] = {}
     for col in columns:
         _add_column(col, pivots)
     return pivots
@@ -710,7 +773,9 @@ def filtration_profile(s: LeeComplexSlice) -> dict[int, int]:
     so those whose low has grading >= j span F^j cap im d_-1.  Each level's
     dimension is read as soon as its rows are walked.  For a knot the profile
     steps 0 -> 1 -> 2 as j decreases.  The slice's ``d_in`` echelon is
-    shared with ``s_invariant``.
+    shared with ``s_invariant``.  The columns of d_0 are handed to
+    ``_add_column`` as their stored row pairs, so a pivot of this echelon
+    is a dict only once a later column's reduction has read it.
 
     Clearing: a column whose row is the low of a reduced d_-1 pivot is
     counted but not reduced.  That pivot is supported on its low and on rows
@@ -720,7 +785,7 @@ def filtration_profile(s: LeeComplexSlice) -> dict[int, int]:
     """
     q0 = s.gradings[0]
     in_pivots = s.din_echelon
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, Mapping[int, int]] = {}
     profile: dict[int, int] = {}
     prev = im = 0
     row = len(q0)
@@ -730,7 +795,7 @@ def filtration_profile(s: LeeComplexSlice) -> dict[int, int]:
             if row in in_pivots:
                 im += 1
             else:
-                _add_column(_as_dict(s.d_out[row]), pivots)
+                _add_column(s.d_out[row], pivots)
         dim = len(q0) - row - len(pivots) - im
         if dim < prev or dim > 2:
             raise ConsistencyError(f"filtration profile is not a 0/1/2 staircase: {dim} at {level}")

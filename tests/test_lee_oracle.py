@@ -1058,6 +1058,148 @@ class TestDictColumnEquivalence:
     def test_braid_words(self, word):
         self._assert_equivalent(braid_closure(parse_braid(word)))
 
+    @pytest.mark.parametrize("word", ORACLE_MID_WORDS + (BASELINE_12A,))
+    def test_the_bench_tracer_reads_the_reference_counts(self, word):
+        # bench/tracing.py reads every pivot the echelon returns through
+        # len and values: rank, nonzeros, max fill and max coefficient bits
+        def observed(pivots):
+            cols = list(pivots.values())
+            fill = [len(col) for col in cols]
+            bits = max(abs(v).bit_length() for col in cols for v in col.values())
+            return len(cols), sum(fill), max(fill), bits
+
+        d = braid_closure(parse_braid(word))
+        s = build_slice(d)
+        echelon, _ = _dict_column_echelon(d, s)
+        assert observed(s.din_echelon) == observed(echelon)
+
+
+class _ReadLows(dict):
+    """Pivots that record, in ``read``, the low of every pivot that
+    ``_reduce_against`` looks up and finds."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def get(self, low, default=None):
+        piv = super().get(low, default)
+        if piv is not None:
+            self.read.add(low)
+        return piv
+
+
+def _lazy_reference(columns, extras=()):
+    """(pivots, untouched lows, reduced count) of the all-dict echelon of the
+    signed row pairs ``columns``, after each dict of ``extras`` is reduced
+    against it: the lows of the columns taken without reduction, and how
+    many columns were reduced; ``pivots.read`` holds every low read."""
+    pivots, untouched, reduced = _ReadLows(), set(), 0
+    for pair in columns:
+        col = _entries(pair)
+        if not col:
+            continue
+        low = min(col)
+        if low not in pivots:
+            pivots[low] = col
+            untouched.add(low)
+            continue
+        reduced += 1
+        red = _reduce_against(col, pivots)
+        if red:
+            pivots[min(red)] = _strip(red)
+    for vec in extras:
+        _reduce_against(dict(vec), pivots)
+    return pivots, untouched, reduced
+
+
+class TestLazyPivots:
+    """A column that an echelon takes without reduction stays a view of its
+    stored row pair until a reduction reads it: counted, not timed."""
+
+    def test_din_pivots_are_dicts_only_where_reduced_or_read(self, calls):
+        s = build_slice(braid_closure(parse_braid(ORACLE_MID_WORDS[0])))
+        as_dict = calls(slicebound.lee_oracle, "_as_dict")
+        filtration_profile(s)
+        s_invariant(s)
+        built = len(as_dict)
+        s_o, _ = canonical_cycles(s)
+        ref, untouched, reduced = _lazy_reference(
+            [col for j, col in enumerate(s.d_in) if j not in s.cleared], [s_o.coefficients]
+        )
+        assert s.din_echelon == ref
+        dicts = {low for low, col in s.din_echelon.items() if type(col) is dict}
+        read = untouched & ref.read
+        assert dicts == (ref.keys() - untouched) | read
+        assert (len(ref), len(dicts), len(read), reduced) == (2468, 463, 342, 197)
+        # the profile adds its own dicts, counted in the test below
+        assert built - 209 == reduced + len(read)
+
+    def test_the_profile_builds_a_dict_only_for_a_column_reduced_or_read(self, calls):
+        s = build_slice(braid_closure(parse_braid(ORACLE_MID_WORDS[0])))
+        in_pivots = s.din_echelon
+        built = calls(slicebound.lee_oracle, "_as_dict")
+        filtration_profile(s)
+        walked = [s.d_out[row] for row in reversed(range(s.dim(0))) if row not in in_pivots]
+        ref, untouched, reduced = _lazy_reference(walked)
+        assert len(built) == reduced + len(untouched & ref.read) == 209
+        assert len(ref) == 1376
+
+    def test_dicts_per_oracle_mid_round(self, calls, capsys):
+        # one round of the oracle-mid workload: bound --oracle and oracle on
+        # each word; an echelon that built a dict of every column it took
+        # built 17840
+        built = calls(slicebound.lee_oracle, "_as_dict")
+        for word in ORACLE_MID_WORDS:
+            assert slicebound.cli.main(["bound", "--braid", word, "--oracle"]) == 0
+            assert slicebound.cli.main(["oracle", "--braid", word]) == 0
+        capsys.readouterr()
+        assert len(built) <= 3600
+
+    def test_views_read_as_their_dicts(self):
+        s = build_slice(braid_closure(parse_braid(ORACLE_MID_WORDS[1])))
+        views = [col for col in s.din_echelon.values() if type(col) is not dict]
+        assert views
+        for view in views:
+            entries = _entries(view.pair)
+            assert view == entries and entries == view
+            assert dict(view.items()) == entries and list(view) == list(entries)
+            assert sorted(view.values()) == sorted(entries.values()) and len(view) == len(entries)
+            assert all(view[row] == v for row, v in entries.items())
+            with pytest.raises(KeyError):
+                view[-1]
+
+
+class TestReleasedResolutions:
+    def test_degree_zero_and_one_resolutions_die_before_the_first_relation(self, monkeypatch):
+        d = braid_closure(parse_braid(ORACLE_MID_WORDS[0]))
+        d.seifert_circles  # cached on the diagram, so it outlives any slice
+        resolve = Diagram.resolution
+        refs = []
+
+        def tracked(self, mask):
+            circles = resolve(self, mask)
+            if mask.bit_count() - self.n_minus in (0, 1):
+                refs.append(weakref.ref(circles))
+            return circles
+
+        check = slicebound.lee_oracle._check_slice
+        alive = []
+
+        def checking(s, relations=()):
+            def first_read():
+                alive.append(sum(ref() is not None for ref in refs))
+                yield from relations
+
+            return check(s, first_read())
+
+        monkeypatch.setattr(Diagram, "resolution", tracked)
+        monkeypatch.setattr(slicebound.lee_oracle, "_check_slice", checking)
+        s = build_slice(d)
+        # every degree 0 and 1 vertex but the oriented resolution
+        assert len(refs) == len(s.rows[0]) - 1 + len(s.rows[1])
+        assert alive == [0]
+
 
 class TestRowNumbering:
     def test_c0_and_c1_are_numbered_by_filtration_row(self):
