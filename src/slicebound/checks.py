@@ -2,6 +2,13 @@
 and the two ways any command reaches the oracle: ``knot_s``, for the engines
 and ``bound --oracle``, and ``oracle_report``, for the ``oracle`` command.
 
+Side rule: ``knot_s`` builds the slice of whichever of the diagram and its
+mirror has fewer negative crossings (the diagram itself on a tie) and
+negates ``s`` for the mirror, by ``s(mK) = -s(K)`` (Rasmussen, arXiv
+math/0402131).  The bounds and the window stay on the diagram as given.
+``oracle_report`` never mirrors: it reports the given diagram's own
+dimensions and profile.
+
 Both engines and ``oracle_report`` return plain data for ``cli`` to format.
 Whether the oracle refuses a diagram is decided in ``lee_oracle`` alone: a
 refused table row leaves ``s_oracle`` blank and a refused fuzz case skips
@@ -61,19 +68,31 @@ def bundled_table_path() -> str:
 
 def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
     """Rasmussen invariant of the knot ``d`` presents, computed on the
-    closure of ``reduce_braid(word)``.
+    closure of ``reduce_braid(word)`` or on its mirror.
 
     ``word``, when given, must be the word ``d`` is the closure of.  ``s`` is
     a knot invariant, so the oracle may run on any diagram of the knot; the
     reduced closure has at most as many crossings.  When ``word`` is None or
-    already reduced, ``d`` itself is used.  ``limit`` applies to the diagram
-    the oracle runs on: a refusal concerns the reduced closure.  The slice
-    lives and dies inside ``_collector_paused``.
+    already reduced, ``d`` itself is used.
+
+    Side rule: when that diagram has more negative than positive crossings,
+    the slice of ``mirror(d)`` is built and ``-s`` returned, since
+    ``s(mK) = -s(K)`` (Rasmussen, arXiv math/0402131); a tie keeps ``d``.
+    The mirror has the same crossing count and its slice is the transpose,
+    so ``d_in`` and ``d_out`` keep their entry counts, but C^-2 and C^-1,
+    whose size sets the cost of the ``d_-2`` relations, their verification
+    and the ``d_in`` echelon, are the smaller ones on the side with fewer
+    negative crossings.  ``limit`` applies to the diagram the oracle runs
+    on: a refusal concerns the reduced closure.  The slice lives and dies
+    inside ``_collector_paused``.
     """
     if word is not None and not is_reduced(word):
         d = braid_closure(reduce_braid(word))
+    sign = 1
+    if d.n_minus > d.n_plus:
+        d, sign = mirror(d), -1
     with _collector_paused():
-        return s_invariant(build_slice(d, limit))
+        return sign * s_invariant(build_slice(d, limit))
 
 
 def oracle_report(d: Diagram, limit: int) -> dict:

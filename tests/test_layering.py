@@ -29,9 +29,11 @@
   ``functools.cache`` or ``lru_cache``, so a repeated call in one process
   starts from nothing.
 * The oracle is reached in two places outside ``lee_oracle``, both in
-  ``checks``: ``knot_s``, which computes s on the reduced braid word and is
-  the only caller of ``reduce_braid``, and ``oracle_report``, the ``oracle``
-  command's session, which reports the diagram as given and never reduces.
+  ``checks``: ``knot_s``, which computes s on the reduced braid word, or on
+  its mirror when that has fewer negative crossings, and is the only caller
+  of ``reduce_braid``, and ``oracle_report``, the ``oracle`` command's
+  session, which reports the diagram as given and never reduces or
+  mirrors.
   Only these two call ``build_slice`` or ``s_invariant``; ``cmd_oracle``
   calls ``oracle_report`` and none of the oracle's entries, and ``cli``
   imports from ``lee_oracle`` only ``DEFAULT_MAX_CROSSINGS`` and
@@ -247,7 +249,7 @@ def test_the_oracle_command_never_reduces():
     session = set(_called_names(_functions("checks.py")["oracle_report"]))
     assert "oracle_report" in command
     for called in (command, session):
-        assert not called & {"knot_s", "reduce_braid", "is_reduced"}
+        assert not called & {"knot_s", "reduce_braid", "is_reduced", "mirror"}
     assert {"build_slice", "s_invariant"} <= session
 
 

@@ -13,7 +13,7 @@ from itertools import chain
 from math import comb, gcd
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slicebound.checks
@@ -34,6 +34,7 @@ from slicebound import (
     parse_pd,
     profile_jumps,
     random_braid,
+    random_braids,
     s_invariant,
     s_window,
 )
@@ -425,13 +426,33 @@ def _reference(d, s):
     return q0[order[min(reduced)]] + 1, profile, len(in_pivots)
 
 
+def _same_cycle(perm, a, b):
+    """True when ``a`` and ``b`` lie in one cycle of the permutation ``perm``."""
+    i = perm[a]
+    while i != a and i != b:
+        i = perm[i]
+    return i == b
+
+
 @st.composite
 def _braid_knots(draw, max_crossings=7):
+    """Knot closures of at most ``max_crossings`` crossings, built, not
+    filtered: free letters, then one closing letter +-i for each adjacent
+    strand pair i - 1, i that still lies in two cycles of the strand
+    permutation.  Each closing letter merges two cycles, so the closure has
+    one component."""
     strands = draw(st.integers(2, 4))
     letter = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
-    letters = draw(st.lists(letter, max_size=max_crossings))
+    letters = draw(st.lists(letter, max_size=max_crossings - (strands - 1)))
+    perm = list(range(strands))
+    for k in letters:
+        perm[abs(k) - 1], perm[abs(k)] = perm[abs(k)], perm[abs(k) - 1]
+    for i in range(1, strands):
+        if not _same_cycle(perm, i - 1, i):
+            letters.append(draw(st.sampled_from((i, -i))))
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
     d = braid_closure(BraidWord(strands, tuple(letters)))
-    assume(d.is_connected and d.is_knot)
+    assert d.is_connected and d.is_knot and len(d.crossings) <= max_crossings
     return d
 
 
@@ -1697,3 +1718,45 @@ class TestCollectorPause:
                 assert gc.get_threshold() == threshold
                 runs += 1
         assert runs == 6
+
+
+class TestMirrorSide:
+    """``knot_s`` builds the slice of the diagram or of its mirror, whichever
+    has fewer negative crossings (the diagram on a tie), and negates ``s``
+    for the mirror, by s(mK) = -s(K).  Cross-checked against the oracle on
+    both sides of every diagram of the corpus."""
+
+    @staticmethod
+    def _assert_side_rule(d, built):
+        (side,) = [args[0] for args in built]
+        built.clear()
+        assert side.n_minus <= side.n_plus
+        assert (side is d) == (d.n_minus <= d.n_plus)
+        return side is not d
+
+    def _cross_check(self, diagrams, built, limit=10):
+        mirrored = 0
+        for d in diagrams:
+            s = slicebound.checks.knot_s(d, None, limit)
+            mirrored += self._assert_side_rule(d, built)
+            assert s == s_invariant(build_slice(d, limit)) == -s_invariant(build_slice(mirror(d), limit))
+        return mirrored
+
+    def test_table_rows_and_their_mirrors(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        knots = _table_knots()
+        ties = sum(d.n_minus == d.n_plus for d in knots)
+        assert self._cross_check(knots, built) == 16
+        assert self._cross_check([mirror(d) for d in knots], built) == len(knots) - ties - 16
+
+    def test_oracle_mid_words(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        assert self._cross_check([braid_closure(parse_braid(w)) for w in ORACLE_MID_WORDS], built) == 3
+
+    def test_random_braid_knots(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        knots = [d for d in (braid_closure(w) for w, _ in random_braids(300, 4, 10, 7))
+                 if d.is_knot and d.is_connected and len(d.crossings) <= 10]
+        assert len(knots) == 110
+        mirrored = self._cross_check(knots, built)
+        assert 0 < mirrored < len(knots) and any(d.n_minus == d.n_plus for d in knots)
