@@ -79,12 +79,12 @@ def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
     the slice of ``mirror(d)`` is built and ``-s`` returned, since
     ``s(mK) = -s(K)`` (Rasmussen, arXiv math/0402131); a tie keeps ``d``.
     The mirror has the same crossing count and its slice is the transpose,
-    so ``d_in`` and ``d_out`` keep their entry counts, but C^-2 and C^-1,
-    whose size sets the cost of the ``d_-2`` relations, their verification
-    and the ``d_in`` echelon, are the smaller ones on the side with fewer
-    negative crossings.  ``limit`` applies to the diagram the oracle runs
-    on: a refusal concerns the reduced closure.  The slice lives and dies
-    inside ``_collector_paused``.
+    so the two differentials together keep their entries, but C^-1 sits on
+    C(n, n_minus - 1) cube vertices, fewer on the side with fewer negative
+    crossings, and C^-2 on no more; their size sets the cost of streaming
+    and verifying the ``d_-2`` relations.  ``limit`` applies to the diagram
+    the oracle runs on: a refusal concerns the reduced closure.  The slice
+    lives and dies inside ``_collector_paused``.
     """
     if word is not None and not is_reduced(word):
         d = braid_closure(reduce_braid(word))
@@ -96,9 +96,9 @@ def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
 
 
 def oracle_report(d: Diagram, limit: int) -> dict:
-    """The ``oracle`` command's payload for ``d`` as given, never reduced:
-    ``s``, ``s_min``, the filtration jumps, the profile and the dimensions
-    of C^-1, C^0 and C^1.
+    """The ``oracle`` command's payload for ``d`` as given, never reduced or
+    mirrored: ``s``, ``s_min``, the filtration jumps, the profile and the
+    dimensions of C^-1, C^0 and C^1.
 
     The slice is built, read and released inside ``_collector_paused``.
     Raises ``ConsistencyError`` when ``s`` disagrees with the profile's
