@@ -60,8 +60,8 @@ unfiltered entry reports the unfiltered one.
 Coefficients are exact: matrices live over the integers, and every
 elimination step leaves an integer column that is a nonzero rational multiple
 of its reduction over the rationals, which is equivalent to working over the
-rationals.  Stored pivots are primitive: a column whose low has no pivot
-yet and whose low entry is +-1 is stored as built, any other is reduced and
+rationals.  Stored pivots are primitive: every column has unit entries, so
+one whose low has no pivot yet is stored as built, any other is reduced and
 gcd-stripped; a working column is stripped after each non-unit rescale.
 
 Generators of C^0 and C^1 are numbered by filtration row, once, when the
@@ -187,9 +187,9 @@ class LeeComplexSlice:
     def din_echelon(self) -> dict[int, Mapping[int, int]]:
         """Column echelon of ``d_in``, {low row: primitive column}; computed
         once per slice, on first use.  The ``cleared`` columns lie in the span
-        of the columns before them and are skipped, which changes no pivot.
-        Every other column is handed over as its stored row pair, so a pivot
-        is a dict only once a reduction has read it (``_add_column``)."""
+        of the columns before them and are skipped, which changes no pivot;
+        a pivot is a dict only once a reduction has read it
+        (``_add_column``)."""
         cleared = self.cleared
         return _column_echelon(col for j, col in enumerate(self.d_in) if j not in cleared)
 
@@ -581,16 +581,16 @@ def canonical_cycles(s: LeeComplexSlice) -> tuple[CanonicalCycle, CanonicalCycle
 # ascending mask order).  The columns of d_in are taken in (vertex, label)
 # order of C^-1, which is why C^-1 is not sorted by grading.
 #
-# Stored pivots are primitive.  A column whose low is new and whose low entry
-# is +-1 needs no elimination and becomes its pivot as it is (``_add_column``),
-# so one ``oracle-mid`` round calls ``_reduce_against`` 1559 times, not 17850.
-# Both echelons take stored row pairs, and such a pivot stays a
-# ``_ColumnView`` of its pair until a reduction reads it and replaces it by
-# its dict: one round builds 3536 dicts from stored columns, not 17840 (on
-# 14b a reduction reads 7908 of the 55562 d_in pivots and 3666 of the 53576
-# profile pivots).  Any other column is reduced in place: when the pivot
-# entry divides the column entry it subtracts that multiple of the pivot,
-# otherwise it rescales by a non-unit, subtracts, and is stripped.
+# Stored pivots are primitive.  Both echelons take stored row pairs, whose
+# entries are +-1, so a column whose low is new needs no elimination and
+# becomes its pivot as it is (``_add_column``): one ``oracle-mid`` round takes
+# 17828 columns and calls ``_reduce_against`` 1555 times, not 17838.  Such a
+# pivot stays a ``_ColumnView`` of its pair until a reduction reads it and
+# replaces it by its dict: one round builds 3524 dicts from stored columns,
+# not 17828 (on 14b a reduction reads 7908 of the 55562 d_in pivots and 3666
+# of the 53576 profile pivots).  Any other column is reduced as a dict: when
+# the pivot entry divides the column entry it subtracts that multiple of the
+# pivot, otherwise it rescales by a non-unit, subtracts, and is stripped.
 # Either way the result is a nonzero rational multiple of the exact-rational
 # reduction, so lows and ranks are those of elimination over Q.
 
@@ -680,43 +680,30 @@ def _as_dict(col: Column) -> dict[int, int]:
     return out
 
 
-def _add_column(col: dict[int, int] | Column, pivots: dict[int, Mapping[int, int]]) -> None:
-    """Take ``col``, a dict or a stored signed row pair, into the echelon
-    ``pivots``: a nonzero reduction of it becomes the pivot at its low.
+def _add_column(col: Column, pivots: dict[int, Mapping[int, int]]) -> None:
+    """Take the stored signed row pair ``col`` into the echelon ``pivots``:
+    a nonzero reduction of it becomes the pivot at its low.
 
-    A column whose low has no pivot yet and whose low entry is +-1, hence
-    primitive, is its own reduction and becomes the pivot with no
-    elimination and no copy: a dict as it is, a row pair, whose entries are
-    all +-1, as a ``_ColumnView``.  Every other column is reduced, a row
-    pair as a fresh dict, and a nonzero reduction is stripped into a compact
-    copy.  A dict column is the echelon's own, so the caller hands over a
-    fresh dict and keeps no reference to it.
+    A column whose low has no pivot yet is its own reduction, primitive
+    since its entries are +-1, and becomes the pivot as a ``_ColumnView``,
+    with no elimination and no copy.  Every other column is reduced as a
+    fresh dict, and a nonzero reduction is stripped into a compact copy.
     """
-    if type(col) is tuple:
-        terms = col[0] + col[1]
-        if not terms:
-            return
-        low = min(terms)
-        if low not in pivots:
-            pivots[low] = _ColumnView(col)
-            return
-        col = _as_dict(col)
-    else:
-        if not col:
-            return
-        low = min(col)
-        if low not in pivots and col[low] in (1, -1):
-            pivots[low] = col
-            return
-    red = _reduce_against(col, pivots)
+    terms = col[0] + col[1]
+    if not terms:
+        return
+    low = min(terms)
+    if low not in pivots:
+        pivots[low] = _ColumnView(col)
+        return
+    red = _reduce_against(_as_dict(col), pivots)
     if red:
         pivots[min(red)] = _strip(red)
 
 
-def _column_echelon(columns: Iterable[dict[int, int] | Column]) -> dict[int, Mapping[int, int]]:
-    """{low: primitive column} for the span of ``columns``, each taken in
-    turn by ``_add_column``, so the caller hands over fresh dicts or stored
-    row pairs."""
+def _column_echelon(columns: Iterable[Column]) -> dict[int, Mapping[int, int]]:
+    """{low: primitive column} for the span of the stored row pairs
+    ``columns``, each taken in turn by ``_add_column``."""
     pivots: dict[int, Mapping[int, int]] = {}
     for col in columns:
         _add_column(col, pivots)
@@ -773,9 +760,8 @@ def filtration_profile(s: LeeComplexSlice) -> dict[int, int]:
     so those whose low has grading >= j span F^j cap im d_-1.  Each level's
     dimension is read as soon as its rows are walked.  For a knot the profile
     steps 0 -> 1 -> 2 as j decreases.  The slice's ``d_in`` echelon is
-    shared with ``s_invariant``.  The columns of d_0 are handed to
-    ``_add_column`` as their stored row pairs, so a pivot of this echelon
-    is a dict only once a later column's reduction has read it.
+    shared with ``s_invariant``.  A pivot of the d_0 echelon is a dict only
+    once a later column's reduction has read it (``_add_column``).
 
     Clearing: a column whose row is the low of a reduced d_-1 pivot is
     counted but not reduced.  That pivot is supported on its low and on rows

@@ -6,7 +6,6 @@ import pytest
 
 from slicebound import (
     BraidWord,
-    ConsistencyError,
     Crossing,
     Diagram,
     DisconnectedDiagramError,

@@ -310,39 +310,78 @@ def _low(col):
     return min(col) if col else None
 
 
+def _dict_echelon(columns):
+    """(pivots, zero) of the integer echelon of the {row: int} dicts
+    ``columns``, taken in turn: a copy of each is reduced by
+    ``_reduce_against``, a nonzero reduction is stored ``_strip``ped at its
+    low, and ``zero`` holds the indices of the columns that reduce to zero."""
+    pivots, zero = {}, set()
+    for j, col in enumerate(columns):
+        red = _reduce_against(dict(col), pivots)
+        if red:
+            pivots[min(red)] = _strip(red)
+        else:
+            zero.add(j)
+    return pivots, zero
+
+
+def _assert_matches_rational(pivots, columns, extras):
+    """``pivots`` has the lows of the rational echelon of the dicts
+    ``columns``, each pivot primitive and in their span; each dict of
+    ``extras`` reduces against it to the rational low, and a pivot those
+    reductions read keeps its entries."""
+    reference = _rational_echelon(columns)
+    assert set(pivots) == set(reference)
+    for low, piv in pivots.items():
+        assert _low(piv) == low
+        g = 0
+        for v in piv.values():
+            g = gcd(g, v)
+        assert g == 1  # stored pivots are primitive
+        assert not _rational_reduce(piv, reference)  # and lie in the span
+    entries = {low: dict(piv.items()) for low, piv in pivots.items()}
+    for vec in extras:
+        got = _reduce_against(dict(vec), pivots)
+        assert _low(got) == _low(_rational_reduce(vec, reference))
+        assert all(isinstance(v, int) for v in got.values())
+    assert pivots == entries
+
+
 _ROWS = 7
 _vectors = st.lists(
     st.integers(-4, 4), min_size=_ROWS, max_size=_ROWS
 ).map(lambda entries: {p: x for p, x in enumerate(entries) if x})
+# signed row pairs over the same rows: few rows, so that lows collide
+_row_pairs = st.lists(
+    st.dictionaries(st.integers(0, _ROWS - 1), st.sampled_from((1, -1)), max_size=_ROWS),
+    max_size=10,
+).map(lambda cols: [_signed(col) for col in cols])
 
 
 class TestEliminationKernel:
     @settings(max_examples=300, deadline=None)
     @given(columns=st.lists(_vectors, max_size=10), extras=st.lists(_vectors, max_size=4))
     @example(columns=[{0: 2, 1: 1}, {0: 3, 2: 1}], extras=[{0: 5, 1: 1, 2: 1}])
-    # the untouched-column path: an empty column has no low, and a column
-    # whose low is new but whose low entry is not +-1 is reduced and stripped
+    # an empty column has no low, and a column whose low is new but which is
+    # not primitive is stored stripped
     @example(columns=[{}], extras=[{0: 1}])
     @example(columns=[{3: 2, 5: 4}], extras=[{3: 1, 5: 1}])
     @example(columns=[{0: 1, 2: 1}, {1: 2, 4: -6}], extras=[{1: 1, 2: 1}])
     def test_matches_rational_elimination(self, columns, extras):
         before = [dict(col) for col in columns]
-        # the echelon reduces the columns it is given in place: hand it copies
-        pivots = _column_echelon([dict(col) for col in columns])
-        reference = _rational_echelon(columns)
+        pivots, _ = _dict_echelon(columns)
         assert columns == before  # the caller's columns are left unchanged
-        assert set(pivots) == set(reference)
-        for low, piv in pivots.items():
-            assert _low(piv) == low
-            g = 0
-            for v in piv.values():
-                g = gcd(g, v)
-            assert g == 1  # stored pivots are primitive
-            assert not _rational_reduce(piv, reference)  # and lie in the span
-        for vec in extras:
-            got = _reduce_against(dict(vec), pivots)
-            assert _low(got) == _low(_rational_reduce(vec, reference))
-            assert all(isinstance(v, int) for v in got.values())
+        _assert_matches_rational(pivots, columns, extras)
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=_row_pairs, extras=st.lists(_vectors, max_size=4))
+    # an empty column and an extra that reads a view pivot; a column at a
+    # taken low that reads one
+    @example(columns=[((), ()), ((0, 1), ())], extras=[{0: 2, 1: 1}])
+    @example(columns=[((0, 2), ()), ((0,), (1,))], extras=[{0: 3, 2: 1}])
+    def test_row_pairs_match_rational_elimination(self, columns, extras):
+        pivots = _column_echelon(columns)
+        _assert_matches_rational(pivots, [_entries(col) for col in columns], extras)
 
 
 # --- the zero-composition test against the exact product ------------------
@@ -406,23 +445,21 @@ def _reference(d, s):
     def ascending(col):
         return {pos[index0[row]]: v for row, v in col.items()}
 
-    in_pivots = _column_echelon(ascending(_entries(col)) for col in s.d_in)
+    in_pivots, _ = _dict_echelon(ascending(_entries(col)) for col in s.d_in)
     s_o, _ = canonical_cycles(s)
     reduced = _reduce_against(ascending(s_o.coefficients), in_pivots)
     low_grades = [q0[order[low]] for low in in_pivots]
     d_out = [{index1[row]: v for row, v in _entries(s.d_out[pos0[i]]).items()} for i in range(len(q0))]
-    profile = {}
-    pivots = {}
     cols = sorted(range(len(q0)), key=lambda j: (-q0[j], j))
+    # the columns of a prefix that reduce to zero span its kernel
+    _, zero = _dict_echelon(d_out[j] for j in cols)
+    profile = {}
     idx = 0
     for level in sorted(set(q0), reverse=True):
         while idx < len(cols) and q0[cols[idx]] >= level:
-            red = _reduce_against(dict(d_out[cols[idx]]), pivots)
-            if red:
-                pivots[min(red)] = red
             idx += 1
         im = sum(1 for g in low_grades if g >= level)
-        profile[level] = idx - len(pivots) - im
+        profile[level] = sum(1 for k in zero if k < idx) - im
     return q0[order[min(reduced)]] + 1, profile, len(in_pivots)
 
 
@@ -476,13 +513,8 @@ class TestPivotOrderAndClearing:
         by_index = [q0[p] for p in _positions(s, 0)]
         walk = range(len(q0) - 1, -1, -1)
         assert [index0[row] for row in walk] == sorted(range(len(q0)), key=lambda j: (-by_index[j], j))
-        pivots = {}
-        for row in walk:
-            red = _reduce_against(_entries(s.d_out[row]), pivots)
-            if row in s.din_echelon:
-                assert not red
-            elif red:
-                pivots[min(red)] = red
+        _, zero = _dict_echelon(_entries(s.d_out[row]) for row in walk)
+        assert {k for k, row in enumerate(walk) if row in s.din_echelon} <= zero
 
     def test_tie_order_keeps_din_fill_low(self):
         # a count, not a timing: ascending ties give 32.2 nonzeros per pivot
@@ -543,22 +575,16 @@ ORACLE_MID_WORDS = (
 def _zero_columns(columns):
     """The indices of the signed row pair ``columns`` that the echelon,
     nothing skipped, reduces to zero."""
-    pivots, zero = {}, set()
-    for j, col in enumerate(columns):
-        red = _reduce_against(_entries(col), pivots)
-        if red:
-            pivots[min(red)] = _strip(red)
-        else:
-            zero.add(j)
-    return zero
+    return _dict_echelon(map(_entries, columns))[1]
 
 
 class TestClearing:
     @staticmethod
     def _assert_clearing_is_exact(d):
         s = build_slice(d)
-        assert s.din_echelon == _column_echelon(map(_entries, s.d_in))
-        assert s.cleared <= _zero_columns(s.d_in)
+        pivots, zero = _dict_echelon(map(_entries, s.d_in))
+        assert s.din_echelon == pivots
+        assert s.cleared <= zero
         # the cleared set is the top index of every d_-2 column, none lost
         sources = tuple(m for m in range(1 << len(d.crossings)) if m.bit_count() == d.n_minus - 2)
         circles = {m: d.resolution(m) for m in s.rows[-1]}
@@ -1051,7 +1077,7 @@ def _dict_column_echelon(d, s):
             assert set(r.values()) <= {1, -1}
             assert not _product(d_in, r)
             cleared.add(j)
-    echelon = _column_echelon(dict(col) for j, col in enumerate(d_in) if j not in cleared)
+    echelon, _ = _dict_echelon(col for j, col in enumerate(d_in) if j not in cleared)
     return echelon, cleared
 
 
@@ -1169,7 +1195,7 @@ class TestLazyPivots:
     def test_dicts_per_oracle_mid_round(self, calls, capsys):
         # one round of the oracle-mid workload: bound --oracle and oracle on
         # each word; an echelon that built a dict of every column it took
-        # built 17840
+        # built 17828
         built = calls(slicebound.lee_oracle, "_as_dict")
         for word in ORACLE_MID_WORDS:
             assert slicebound.cli.main(["bound", "--braid", word, "--oracle"]) == 0
@@ -1376,6 +1402,53 @@ class TestCheckSliceMutations:
         col = (((plus + minus)[0],) + plus, minus + (bad,))
         with pytest.raises(ConsistencyError, match=f"not filtered: {src_q} -> {tgt_q[bad]}$"):
             _check_slice(self._with_column(fig8, matrix, j, col))
+
+
+class TestOracleReadMutations:
+    """Each corruption of a built slice raises in the check of the oracle
+    read that meets it: ``s_invariant``, ``canonical_cycles`` or
+    ``filtration_profile``, each on a fresh slice, so no echelon is shared."""
+
+    @pytest.fixture(scope="class")
+    def fig8(self):
+        return build_slice(FIG8)
+
+    @staticmethod
+    def _with_d_in_cycles(s, cycles):
+        """The slice with the signed row pair of each of ``cycles`` appended
+        to d_in, so that each is a boundary."""
+        return dataclasses.replace(s, d_in=s.d_in + tuple(_signed(c.coefficients) for c in cycles))
+
+    @staticmethod
+    def _with_c0_gradings(s, shift):
+        q0 = s.gradings[0]
+        return dataclasses.replace(s, gradings={**s.gradings, 0: tuple(q + shift(q) for q in q0)})
+
+    def test_canonical_class_is_a_boundary(self, fig8):
+        s_o, _ = canonical_cycles(fig8)
+        with pytest.raises(ConsistencyError, match="^canonical class vanishes in homology$"):
+            s_invariant(self._with_d_in_cycles(fig8, [s_o]))
+
+    def test_odd_s(self, fig8):
+        low = min(fig8.gradings[0])
+        s = self._with_c0_gradings(fig8, lambda q: int(q > low))
+        with pytest.raises(ConsistencyError, match="^s = 1 is odd"):
+            s_invariant(s)
+
+    def test_shifted_canonical_cycle_grading(self, fig8):
+        s = self._with_c0_gradings(fig8, lambda q: 2)
+        with pytest.raises(ConsistencyError, match="^canonical cycle minimum grading -1 != -3$"):
+            canonical_cycles(s)
+
+    def test_profile_without_boundaries(self, fig8):
+        s = dataclasses.replace(fig8, d_in=(), gradings={**fig8.gradings, -1: ()})
+        with pytest.raises(ConsistencyError, match="^filtration profile is not a 0/1/2 staircase: 4 at 1$"):
+            filtration_profile(s)
+
+    def test_profile_with_both_canonical_classes_bounding(self, fig8):
+        s = self._with_d_in_cycles(fig8, canonical_cycles(fig8))
+        with pytest.raises(ConsistencyError, match="^dim H\\^0 = 0, expected 2 for a knot$"):
+            filtration_profile(s)
 
 
 def _twice(terms):
