@@ -2,12 +2,16 @@
 and the two ways any command reaches the oracle: ``knot_s``, for the engines
 and ``bound --oracle``, and ``oracle_report``, for the ``oracle`` command.
 
-Side rule: ``knot_s`` builds the slice of whichever of the diagram and its
-mirror has fewer negative crossings (the diagram itself on a tie) and
-negates ``s`` for the mirror, by ``s(mK) = -s(K)`` (Rasmussen, arXiv
-math/0402131).  The bounds and the window stay on the diagram as given.
-``oracle_report`` never mirrors: it reports the given diagram's own
-dimensions and profile.
+Side rule: ``_oracle_side`` picks whichever of the diagram and its mirror
+has fewer negative crossings (the diagram itself on a tie), and both
+``knot_s`` and ``oracle_report`` build the slice of that side.  The mirror's
+filtered Lee complex is the dual of the diagram's, with degree ``i -> -i``
+and grading ``q -> -q`` (Lee, arXiv math/0210213), so ``s(mK) = -s(K)``
+(Rasmussen, arXiv math/0402131) and every field of the ``oracle`` payload
+maps back exactly: ``knot_s`` negates ``s``, and ``oracle_report`` also
+swaps the C^-1 and C^1 dimensions and reads the profile through
+``dim F^j H^0(D) = 2 - dim F^{2-j} H^0(mD)``.  The bounds and the window
+stay on the diagram as given.
 
 Both engines and ``oracle_report`` return plain data for ``cli`` to format.
 Whether the oracle refuses a diagram is decided in ``lee_oracle`` alone: a
@@ -66,6 +70,23 @@ def bundled_table_path() -> str:
     return str(files("slicebound").joinpath("data/knots.csv"))
 
 
+def _oracle_side(d: Diagram) -> tuple[Diagram, int]:
+    """The diagram the oracle runs on for ``d``, and the sign of ``s``
+    between the two: ``(mirror(d), -1)`` when ``d`` has more negative than
+    positive crossings, else ``(d, 1)`` with ``d`` itself, so a tie keeps
+    ``d``.
+
+    The mirror has the same crossing count and its slice is the dual, so
+    the two differentials together keep their entries, but C^-1 sits on
+    C(n, n_minus - 1) cube vertices, fewer on the side with fewer negative
+    crossings, and C^-2 on no more; their size sets the cost of streaming
+    and verifying the ``d_-2`` relations.
+    """
+    if d.n_minus > d.n_plus:
+        return mirror(d), -1
+    return d, 1
+
+
 def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
     """Rasmussen invariant of the knot ``d`` presents, computed on the
     closure of ``reduce_braid(word)`` or on its mirror.
@@ -73,44 +94,23 @@ def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
     ``word``, when given, must be the word ``d`` is the closure of.  ``s`` is
     a knot invariant, so the oracle may run on any diagram of the knot; the
     reduced closure has at most as many crossings.  When ``word`` is None or
-    already reduced, ``d`` itself is used.
-
-    Side rule: when that diagram has more negative than positive crossings,
-    the slice of ``mirror(d)`` is built and ``-s`` returned, since
-    ``s(mK) = -s(K)`` (Rasmussen, arXiv math/0402131); a tie keeps ``d``.
-    The mirror has the same crossing count and its slice is the transpose,
-    so the two differentials together keep their entries, but C^-1 sits on
-    C(n, n_minus - 1) cube vertices, fewer on the side with fewer negative
-    crossings, and C^-2 on no more; their size sets the cost of streaming
-    and verifying the ``d_-2`` relations.  ``limit`` applies to the diagram
-    the oracle runs on: a refusal concerns the reduced closure.  The slice
-    lives and dies inside ``_collector_paused``.
+    already reduced, ``d`` itself is used.  The slice is built on that
+    diagram's ``_oracle_side`` and ``s`` times its sign returned, since
+    ``s(mK) = -s(K)``.  ``limit`` applies to the diagram the oracle runs on:
+    a refusal concerns the reduced closure.  The slice lives and dies
+    inside ``_collector_paused``.
     """
     if word is not None and not is_reduced(word):
         d = braid_closure(reduce_braid(word))
-    sign = 1
-    if d.n_minus > d.n_plus:
-        d, sign = mirror(d), -1
+    side, sign = _oracle_side(d)
     with _collector_paused():
-        return sign * s_invariant(build_slice(d, limit))
+        return sign * s_invariant(build_slice(side, limit))
 
 
-def oracle_report(d: Diagram, limit: int) -> dict:
-    """The ``oracle`` command's payload for ``d`` as given, never reduced or
-    mirrored: ``s``, ``s_min``, the filtration jumps, the profile and the
-    dimensions of C^-1, C^0 and C^1.
-
-    The slice is built, read and released inside ``_collector_paused``.
-    Raises ``ConsistencyError`` when ``s`` disagrees with the profile's
-    jumps, and ``CrossingLimitError`` when ``d`` exceeds ``limit``.
-    """
-    with _collector_paused():
-        slice_ = build_slice(d, limit)
-        profile = filtration_profile(slice_)
-        j2, j1 = profile_jumps(profile)
-        s = s_invariant(slice_)
-        dims = {"-1": slice_.dim(-1), "0": slice_.dim(0), "1": slice_.dim(1)}
-        del slice_  # freed inside the pause: no collection walks it
+def _checked_payload(s: int, profile: dict[int, int], dims: dict[str, int]) -> dict:
+    """The ``oracle`` payload of ``s``, its profile and dimensions; raises
+    ``ConsistencyError`` when ``s`` disagrees with the profile's jumps."""
+    j2, j1 = profile_jumps(profile)
     if s != j2 + 1:
         raise ConsistencyError(f"s = {s} disagrees with filtration jumps ({j2}, {j1})")
     return {
@@ -120,6 +120,38 @@ def oracle_report(d: Diagram, limit: int) -> dict:
         "profile": [[j, dim] for j, dim in profile.items()],
         "dims": dims,
     }
+
+
+def oracle_report(d: Diagram, limit: int) -> dict:
+    """The ``oracle`` command's payload for ``d`` as given, never reduced:
+    ``s``, ``s_min``, the filtration jumps, the profile and the dimensions
+    of C^-1, C^0 and C^1.
+
+    The slice of ``_oracle_side(d)`` is built, read and released inside
+    ``_collector_paused``, and its own payload is checked.  When that side
+    is the mirror, the payload is mapped back to ``d`` by duality (module
+    docstring): ``s`` is negated, the C^-1 and C^1 dimensions swap, and at
+    each grading ``j`` of C^0, the mirror's gradings negated,
+    ``dim F^j H^0(d) = 2 - dim F^{2-j} H^0(mirror(d))``, where ``F^k`` is 0
+    above the mirror's top grading; the jumps are re-read from the mapped
+    profile and checked again.  Raises ``ConsistencyError`` when ``s``
+    disagrees with the profile's jumps, and ``CrossingLimitError`` when
+    ``d`` exceeds ``limit``.
+    """
+    side, sign = _oracle_side(d)
+    with _collector_paused():
+        slice_ = build_slice(side, limit)
+        profile = filtration_profile(slice_)
+        s = s_invariant(slice_)
+        dims = {"-1": slice_.dim(-1), "0": slice_.dim(0), "1": slice_.dim(1)}
+        del slice_  # freed inside the pause: no collection walks it
+    payload = _checked_payload(s, profile, dims)
+    if sign == 1:
+        return payload
+    levels = sorted(profile)  # ascending: F^k reads at the first level >= k
+    mapped = {j: 2 - next((profile[k] for k in levels if k >= 2 - j), 0)
+              for j in sorted((-k for k in profile), reverse=True)}
+    return _checked_payload(-s, mapped, {"-1": dims["1"], "0": dims["0"], "1": dims["-1"]})
 
 
 def run_table(rows, oracle_limit: Optional[int]):

@@ -29,11 +29,13 @@
   ``functools.cache`` or ``lru_cache``, so a repeated call in one process
   starts from nothing.
 * The oracle is reached in two places outside ``lee_oracle``, both in
-  ``checks``: ``knot_s``, which computes s on the reduced braid word, or on
-  its mirror when that has fewer negative crossings, and is the only caller
-  of ``reduce_braid``, and ``oracle_report``, the ``oracle`` command's
-  session, which reports the diagram as given and never reduces or
-  mirrors.
+  ``checks``: ``knot_s``, which computes s on the reduced braid word and is
+  the only caller of ``reduce_braid``, and ``oracle_report``, the
+  ``oracle`` command's session, which reports the diagram as given and
+  never reduces.  Both take the side the slice is built on from one helper,
+  ``_oracle_side``, the only function that mirrors a diagram for the
+  oracle; ``run_fuzz`` mirrors only to test the bounds, and hands its
+  mirror to ``bound_U`` and ``bound_Delta`` alone.
   Only these two call ``build_slice`` or ``s_invariant``; ``cmd_oracle``
   calls ``oracle_report`` and none of the oracle's entries, and ``cli``
   imports from ``lee_oracle`` only ``DEFAULT_MAX_CROSSINGS`` and
@@ -249,8 +251,23 @@ def test_the_oracle_command_never_reduces():
     session = set(_called_names(_functions("checks.py")["oracle_report"]))
     assert "oracle_report" in command
     for called in (command, session):
-        assert not called & {"knot_s", "reduce_braid", "is_reduced", "mirror"}
+        assert not called & {"knot_s", "reduce_braid", "is_reduced"}
     assert {"build_slice", "s_invariant"} <= session
+    # one side rule: both oracle sessions take their side from one helper,
+    # the only function that mirrors a diagram for the oracle
+    assert sorted(_callers("_oracle_side")) == ["checks.py:knot_s", "checks.py:oracle_report"]
+    assert sorted(_callers("mirror")) == ["checks.py:_oracle_side", "checks.py:run_fuzz"]
+    # run_fuzz mirrors only for the bounds identity: its mirror goes to
+    # bound_U and bound_Delta and nowhere else
+    fuzz = _functions("checks.py")["run_fuzz"]
+    (made,) = [sub.targets[0].id for sub in ast.walk(fuzz) if isinstance(sub, ast.Assign)
+               and isinstance(sub.value, ast.Call) and getattr(sub.value.func, "id", None) == "mirror"]
+    read = [sub for sub in ast.walk(fuzz) if isinstance(sub, ast.Name) and sub.id == made
+            and isinstance(sub.ctx, ast.Load)]
+    passed = [arg for sub in ast.walk(fuzz) if isinstance(sub, ast.Call)
+              and getattr(sub.func, "id", None) in ("bound_U", "bound_Delta") for arg in sub.args
+              if isinstance(arg, ast.Name) and arg.id == made]
+    assert read and len(read) == len(passed)
 
 
 def test_only_knot_s_and_the_oracle_command_run_the_oracle():

@@ -1831,3 +1831,89 @@ class TestMirrorSide:
         assert len(knots) == 110
         mirrored = self._cross_check(knots, built)
         assert 0 < mirrored < len(knots) and any(d.n_minus == d.n_plus for d in knots)
+
+
+def _direct_report(d, limit=10):
+    """The ``oracle`` payload read off the slice of ``d`` as given, with no
+    side rule: the full computation ``oracle_report`` must agree with."""
+    s = build_slice(d, limit)
+    profile = filtration_profile(s)
+    j2, j1 = profile_jumps(profile)
+    value = s_invariant(s)
+    return {
+        "s": value,
+        "s_min": value - 1,
+        "jumps": [j2, j1],
+        "profile": [[j, dim] for j, dim in profile.items()],
+        "dims": {"-1": s.dim(-1), "0": s.dim(0), "1": s.dim(1)},
+    }
+
+
+class TestOracleReportSide:
+    """``oracle_report`` builds the slice of ``_oracle_side(d)``, the same
+    side ``knot_s`` takes, and maps a mirror's payload back to ``d`` by
+    duality.  Cross-checked against the payload of the slice of ``d`` as
+    given on both sides of every diagram of the corpus."""
+
+    @staticmethod
+    def _cross_check(diagrams, built):
+        """Check every diagram; returns how many reports ran on the mirror."""
+        mirrored = 0
+        for d in diagrams:
+            report = slicebound.checks.oracle_report(d, 10)
+            (side,) = [args[0] for args in built]
+            built.clear()
+            assert (side is d) == (d.n_minus <= d.n_plus)
+            mirrored += side is not d
+            assert report == _direct_report(d)
+            assert list(report) == ["s", "s_min", "jumps", "profile", "dims"]
+            assert list(report["dims"]) == ["-1", "0", "1"]
+        return mirrored
+
+    def test_table_rows_and_their_mirrors(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        knots = _table_knots()
+        ties = sum(d.n_minus == d.n_plus for d in knots)
+        assert self._cross_check(knots + [mirror(d) for d in knots], built) == len(knots) - ties
+
+    def test_oracle_mid_words(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        assert self._cross_check([braid_closure(parse_braid(w)) for w in ORACLE_MID_WORDS], built) == 3
+
+    def test_random_braid_knots(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        knots = [d for d in (braid_closure(w) for w, _ in random_braids(300, 4, 11, 7))
+                 if d.is_knot and d.is_connected and len(d.crossings) <= 9]
+        assert len(knots) == 74
+        assert self._cross_check(knots, built) == 34
+
+    def test_the_side_is_the_one_knot_s_takes(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        for d in (FIG8, TREFOIL, mirror(TREFOIL), MIXED):
+            slicebound.checks.knot_s(d, None, 10)
+            slicebound.checks.oracle_report(d, 10)
+            by_knot_s, by_report = [args[0] for args in built]
+            built.clear()
+            assert (by_report is d) == (d.n_minus <= d.n_plus)
+            assert by_report.crossings == by_knot_s.crossings
+
+    def test_a_tie_passes_the_input_object(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        assert FIG8.n_minus == FIG8.n_plus == 2
+        assert slicebound.checks.oracle_report(FIG8, 10)["s"] == 0
+        assert [args[0] for args in built] == [FIG8]
+        assert built[0][0] is FIG8
+
+    def test_the_negative_trefoil_reports_its_own_fields(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        d = braid_closure(BraidWord(2, (-1, -1, -1)))
+        report = slicebound.checks.oracle_report(d, 10)
+        (side,) = [args[0] for args in built]
+        assert side is not d and side.n_minus == 0
+        assert report == {
+            "s": -2,
+            "s_min": -3,
+            "jumps": [-3, -1],
+            "profile": [[-1, 1], [-3, 2], [-5, 2]],
+            "dims": {"-1": 6, "0": 4, "1": 0},
+        }
