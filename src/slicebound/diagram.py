@@ -13,13 +13,14 @@ Slot 4i+p is position p of crossing i, and ``Diagram._slot_walk`` is the
 one incidence table: the edge at each slot and the slot at the other end of
 that edge.  Everything that asks which slots an edge fills reads it:
 ``validate`` (two slots per edge, each edge entered at exactly one),
-``Diagram.is_connected`` (crossings joined along edges), ``is_alternating``
-(every edge joins an even, under-strand slot to an odd, over-strand one) and
-``Diagram.resolution``, the one routine that smooths the crossings and
-numbers the resulting circles by walking slots: the smoothing of crossing i
-joins slot 4i+p to 4i+(p^1) or 4i+(p^3).  ``Diagram.strands`` is the one
-walk of the strand cycles (components, PD export and the PD label-run rule
-read it).  ``UnionFind`` serves ``Diagram.is_connected``, the signed-subgraph
+``Diagram.strands``, the one walk of the strand cycles, straight on through
+each crossing from slot 4i+p to 4i+(p^2) (components, PD export and the PD
+label-run rule read it), ``Diagram.is_connected`` (crossings joined along
+edges), ``is_alternating`` (every edge joins an even, under-strand slot to
+an odd, over-strand one) and ``Diagram.resolution``, the one routine that
+smooths the crossings and numbers the resulting circles by walking slots:
+the smoothing of crossing i joins slot 4i+p to 4i+(p^1) or 4i+(p^3).
+``UnionFind`` serves ``Diagram.is_connected``, the signed-subgraph
 components of the Seifert graph and ``seifert.betti1_components``.
 The oriented resolution (the Seifert circles) and the signed Seifert graph on
 it are cached on the diagram like its other derived quantities, so every
@@ -164,37 +165,31 @@ class Diagram:
 
     @cached_property
     def edge_ids(self) -> tuple[int, ...]:
-        seen: set[int] = set(self.free_loops)
-        for c in self.crossings:
-            seen.update(c.edges)
-        return tuple(sorted(seen))
-
-    @cached_property
-    def successor(self) -> dict[int, int]:
-        """Next edge along each oriented strand (free loops map to themselves)."""
-        succ: dict[int, int] = {e: e for e in self.free_loops}
-        for c in self.crossings:
-            succ[c.under_in] = c.under_out
-            succ[c.over_in] = c.over_out
-        return succ
+        return tuple(e for e, _ in self._slot_walk[2])
 
     @cached_property
     def strands(self) -> tuple[tuple[int, ...], ...]:
-        """The edge ids of each component in strand order (cycles of
-        ``successor``), each from its minimum edge, components ordered by
-        minimum edge.  A free loop is a strand of one edge."""
-        succ = self.successor
+        """The edge ids of each component in strand order, each from its
+        minimum edge, components ordered by minimum edge; a free loop is a
+        strand of one edge.  The walk starts at the slot where the minimum
+        edge begins (4i+2 on the under-strand, 4i+2-sign on the over-strand)
+        and runs along each edge to its other slot, then straight on through
+        that crossing (p -> p^2), until it is back at the start."""
+        edges, partner, starts = self._slot_walk
         seen: set[int] = set()
         strands = []
-        for start in self.edge_ids:  # ascending, so a new start is its strand's minimum
-            if start in seen:
+        for e, s in starts:  # ascending, so a new start is its strand's minimum
+            if e in seen:
                 continue
-            strand = []
-            e = start
-            while e not in seen:
-                seen.add(e)
-                strand.append(e)
-                e = succ[e]
+            strand = [e]
+            if s >= 0:
+                if s & 3 not in (2, 2 - self.crossings[s >> 2].sign):
+                    s = partner[s]
+                t = partner[s] ^ 2
+                while t != s:
+                    strand.append(edges[t])
+                    t = partner[t] ^ 2
+            seen.update(strand)
             strands.append(tuple(strand))
         return tuple(strands)
 
@@ -230,11 +225,11 @@ class Diagram:
         incidence), and (edge id, one of its slots) by ascending edge id,
         with slot -1 for a free loop.
 
-        Four readers share it: ``validate``'s structure checks,
-        ``is_connected``, ``is_alternating`` and the circle walk of
-        ``resolution``.  A walk ends only if ``partner`` is an involution, so
-        an edge in a third slot raises here: a mirror image, for one, is
-        resolved without passing through ``validate``.
+        Its readers: ``validate``'s structure checks, ``edge_ids``, the
+        strand walk of ``strands``, ``is_connected``, ``is_alternating`` and
+        the circle walk of ``resolution``.  A walk ends only if ``partner``
+        is an involution, so an edge in a third slot raises here: a mirror
+        image, for one, is resolved without passing through ``validate``.
         """
         edges = tuple(chain.from_iterable(c.edges for c in self.crossings))
         partner = list(range(len(edges)))
@@ -341,7 +336,7 @@ def _check_structure(d: Diagram) -> None:
 
     # Strand continuity: every crossing edge is entered (as under_out, slot
     # 4i+2, or over_out, slot 4i+2-sign) at exactly one of its two slots, so
-    # it is left at the other and the successor map is a permutation.
+    # it is left at the other and every strand walk passes each edge once.
     entered = [False] * len(edges)
     for i, c in enumerate(d.crossings):
         entered[4 * i + 2] = entered[4 * i + 2 - c.sign] = True

@@ -584,10 +584,10 @@ def canonical_cycles(s: LeeComplexSlice) -> tuple[CanonicalCycle, CanonicalCycle
 # Stored pivots are primitive.  Both echelons take stored row pairs, whose
 # entries are +-1, so a column whose low is new needs no elimination and
 # becomes its pivot as it is (``_add_column``): one ``oracle-mid`` round takes
-# 17828 columns and calls ``_reduce_against`` 1555 times, not 17838.  Such a
+# 17670 columns and calls ``_reduce_against`` 766 times, not 17670.  Such a
 # pivot stays a ``_ColumnView`` of its pair until a reduction reads it and
-# replaces it by its dict: one round builds 3524 dicts from stored columns,
-# not 17828 (on 14b a reduction reads 7908 of the 55562 d_in pivots and 3666
+# replaces it by its dict: one round builds 1833 dicts from stored columns,
+# not 17670 (on 14b a reduction reads 7908 of the 55562 d_in pivots and 3666
 # of the 53576 profile pivots).  Any other column is reduced as a dict: when
 # the pivot entry divides the column entry it subtracts that multiple of the
 # pivot, otherwise it rescales by a non-unit, subtracts, and is stripped.

@@ -93,16 +93,28 @@ def _braid_closures(draw, max_letters=12):
     return braid_closure(BraidWord(strands, tuple(draw(st.lists(letter, max_size=max_letters)))))
 
 
+def _successor(d):
+    """Next edge along each oriented strand, read off the crossings'
+    direction properties (a free loop maps to itself): the reference that
+    ``Diagram.strands``, a walk over crossing slots, is checked against."""
+    succ = {e: e for e in d.free_loops}
+    for c in d.crossings:
+        succ[c.under_in] = c.under_out
+        succ[c.over_in] = c.over_out
+    return succ
+
+
 class TestStrands:
     @staticmethod
     def _assert_strands(d):
         strands = d.strands
+        succ = _successor(d)
         flat = list(chain.from_iterable(strands))
-        assert sorted(flat) == list(d.edge_ids)  # a partition of the edges
+        assert sorted(flat) == list(d.edge_ids) == sorted(succ)  # a partition of the edges
         assert [s[0] for s in strands] == sorted(s[0] for s in strands)
         for s in strands:
             assert s[0] == min(s)
-            assert [d.successor[e] for e in s] == list(s[1:] + s[:1])
+            assert [succ[e] for e in s] == list(s[1:] + s[:1])
         assert d.components == len(strands)
         if not d.free_loops:
             label = {}
@@ -112,14 +124,18 @@ class TestStrands:
 
     @given(d=_braid_closures())
     def test_braid_closures(self, d):
-        self._assert_strands(d)
+        # the mirror rotates every tuple, so each over-strand leaves its
+        # crossing at the other odd slot and the walk starts from there
+        for side in (d, mirror(d)):
+            self._assert_strands(side)
 
     def test_table_knots(self):
         knots = _table_knots()
         assert len(knots) == 36
         for d in knots:
-            self._assert_strands(d)
-            assert d.strands == (tuple(range(1, len(d.edge_ids) + 1)),)  # a PD knot is one label run
+            for side in (d, mirror(d)):
+                self._assert_strands(side)
+                assert side.strands == (tuple(range(1, len(d.edge_ids) + 1)),)  # a PD knot is one label run
 
     def test_free_loops_are_one_edge_strands(self):
         d = braid_closure(BraidWord(4, (1, -1)))
@@ -342,7 +358,8 @@ class TestMirror:
         for seed in range(10):
             d = braid_closure(random_braid(3, 7, seed))
             m = mirror(d)
-            assert m.successor == d.successor
+            assert m.strands == d.strands
+            assert _successor(m) == _successor(d)
             assert m.components == d.components
 
 

@@ -46,14 +46,15 @@
   ``build_slice``, ``filtration_profile`` and ``s_invariant`` inside the
   block, so a slice lives and dies with the collector paused.
   ``lee_oracle`` imports no ``gc`` and defines no pause.
-* The strand cycles are walked in one place: ``Diagram.strands`` is the only
-  function that reads the successor map, and the component count, the PD
-  export and the PD label-run rule read ``strands``.
 * Which crossing slots an edge fills is tabled in one place:
   ``Diagram._slot_walk`` is the incidence table, and ``_check_structure``
-  (behind ``validate``), ``is_connected``, ``is_alternating`` and
-  ``resolution`` read it.  The first three build no per-edge dict of their
-  own.
+  (behind ``validate``), ``edge_ids``, ``strands``, ``is_connected``,
+  ``is_alternating`` and ``resolution`` read it.  All but ``resolution``
+  build no per-edge dict of their own, and no module names a successor
+  map: the strand cycles are walked over the slot table, in
+  ``Diagram.strands`` alone, and the component count, the PD export and the
+  PD label-run rule read ``strands``.
+* No module in the package or its tests imports a name it never reads.
 * No module assigns into an object's ``__dict__``: a cached property is
   filled by computing it, never by writing its cache slot.
 """
@@ -199,15 +200,11 @@ def test_the_label_tables_live_in_one_slice():
     assert not memoized
 
 
-def test_only_strands_walks_the_successor_map():
-    readers = []
-    for filename, tree in _trees().items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and "successor" in (
-                sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
-            ):
-                readers.append(f"{filename}:{node.name}")
-    assert readers == ["diagram.py:strands"]
+def test_no_module_names_a_successor_map():
+    named = [f"{filename}:{node.lineno} {value}" for filename, tree in _trees().items()
+             for node in ast.walk(tree) for field in ("id", "attr", "name", "arg")
+             if "successor" in (value := getattr(node, field, None) or "")]
+    assert not named
 
 
 def _callers(name, skip=()):
@@ -293,10 +290,34 @@ def _builds_a_dict(node):
 
 def test_the_slot_table_is_the_one_incidence_table():
     functions = {node.name: node for node in ast.walk(_trees()["diagram.py"]) if isinstance(node, ast.FunctionDef)}
-    for reader in ("_check_structure", "is_connected", "is_alternating", "resolution"):
+    for reader in ("_check_structure", "edge_ids", "strands", "is_connected", "is_alternating", "resolution"):
         assert "_slot_walk" in _names(functions[reader]), reader
-    for reader in ("_check_structure", "is_connected", "is_alternating"):
+    for reader in ("_check_structure", "edge_ids", "strands", "is_connected", "is_alternating"):
         assert not any(map(_builds_a_dict, ast.walk(functions[reader]))), reader
+
+
+def _imported_but_unread(tree):
+    """(line, name) of each name an import binds that the module never
+    loads; a package's ``__all__`` counts as reading the names it lists."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted([*SRC.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")])
+    assert len(paths) > len(_trees())
+    found = [f"{path.name}:{line} {name}" for path in paths
+             for line, name in _imported_but_unread(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found
 
 
 def _toggles_the_collector(node):
