@@ -16,15 +16,17 @@ that edge.  Everything that asks which slots an edge fills reads it:
 ``Diagram.strands``, the one walk of the strand cycles, straight on through
 each crossing from slot 4i+p to 4i+(p^2) (components, PD export and the PD
 label-run rule read it), ``Diagram.is_connected`` (crossings joined along
-edges), ``is_alternating`` (every edge joins an even, under-strand slot to
-an odd, over-strand one) and ``Diagram.resolution``, the one routine that
-smooths the crossings and numbers the resulting circles by walking slots:
-the smoothing of crossing i joins slot 4i+p to 4i+(p^1) or 4i+(p^3).
-``UnionFind`` serves ``Diagram.is_connected``, the signed-subgraph
-components of the Seifert graph and ``seifert.betti1_components``.
-The oriented resolution (the Seifert circles) and the signed Seifert graph on
-it are cached on the diagram like its other derived quantities, so every
-bound reads one structure.  Braid words, and ``braid_sign_condition`` with
+edges), ``Diagram.is_planar`` (the faces, walked from slot to slot: the
+planarity check of PD input), ``is_alternating`` (every edge joins an
+even, under-strand slot to an odd, over-strand one) and
+``Diagram.resolution``, the one routine that smooths the crossings and
+numbers the resulting circles by walking slots: the smoothing of crossing i
+joins slot 4i+p to 4i+(p^1) or 4i+(p^3).  ``UnionFind`` serves
+``Diagram.is_connected``, the piece count of ``Diagram.is_planar``, the
+signed-subgraph components of the Seifert graph and
+``seifert.betti1_components``.  The oriented resolution (the Seifert
+circles) and the signed Seifert graph on it are cached on the diagram like
+its other derived quantities, so every bound reads one structure.  Braid words, and ``braid_sign_condition`` with
 them, live in ``notation``.
 """
 
@@ -213,6 +215,32 @@ class Diagram:
         return uf.component_count() == 1
 
     @cached_property
+    def is_planar(self) -> bool:
+        """True when the crossings' counterclockwise orders embed the diagram
+        in the plane: by Euler's formula with E = 2V, when every piece with
+        crossings has crossings + 2 faces (fewer means a surface of higher
+        genus, a virtual diagram).  The faces are the cycles of the slot map
+        s -> partner of the next slot counterclockwise at s's crossing; each
+        face keeps to one piece, and the union-find over the crossings counts
+        the pieces along the face walks.  A free loop is planar.
+        """
+        _, partner, _ = self._slot_walk
+        uf = UnionFind(len(self.crossings))
+        seen = [False] * len(partner)
+        faces = 0
+        for start in range(len(partner)):
+            if seen[start]:
+                continue
+            faces += 1
+            s = start
+            while not seen[s]:
+                seen[s] = True
+                t = partner[4 * (s >> 2) + ((s + 1) & 3)]
+                uf.union(s >> 2, t >> 2)
+                s = t
+        return faces == len(self.crossings) + 2 * uf.component_count()
+
+    @cached_property
     def oriented_mask(self) -> int:
         """Cube vertex of the oriented resolution: bits set at the negative crossings."""
         return sum(1 << i for i, c in enumerate(self.crossings) if c.sign < 0)
@@ -226,10 +254,11 @@ class Diagram:
         with slot -1 for a free loop.
 
         Its readers: ``validate``'s structure checks, ``edge_ids``, the
-        strand walk of ``strands``, ``is_connected``, ``is_alternating`` and
-        the circle walk of ``resolution``.  A walk ends only if ``partner``
-        is an involution, so an edge in a third slot raises here: a mirror
-        image, for one, is resolved without passing through ``validate``.
+        strand walk of ``strands``, ``is_connected``, the face walk of
+        ``is_planar``, ``is_alternating`` and the circle walk of
+        ``resolution``.  A walk ends only if ``partner`` is an involution,
+        so an edge in a third slot raises here: a mirror image, for one, is
+        resolved without passing through ``validate``.
         """
         edges = tuple(chain.from_iterable(c.edges for c in self.crossings))
         partner = list(range(len(edges)))

@@ -196,10 +196,7 @@ class LeeComplexSlice:
 
 def _label_gradings(k: int, shift: int) -> list[int]:
     """q of every label on k circles: (#v_plus - #v_minus) + ``shift``."""
-    q = [k + shift]
-    for _ in range(k):
-        q += [x - 2 for x in q]
-    return q
+    return [k + shift - 2 * label.bit_count() for label in range(1 << k)]
 
 
 def _label_table(contrib: list[int]) -> list[int]:
@@ -388,8 +385,9 @@ def _vertices(perm: Sequence[int], weight: int) -> tuple[int, ...]:
 
 
 def _crossing_order(d: Diagram, given: dict[int, SeifertCircles]) -> list[int]:
-    """The crossings of ``d`` in ascending (score, index) order; ``given``
-    holds the resolution of every degree -1 vertex.
+    """The crossings of ``d`` in ascending (score, index) order, ties kept in
+    index order by the stable sort; ``given`` holds the resolution of every
+    degree -1 vertex.
 
     The score of crossing i sums count(u | 1 << i) - count(u) over the degree
     -1 vertices u without i: +1 where flipping i splits a circle of u, -1
@@ -416,7 +414,7 @@ def _crossing_order(d: Diagram, given: dict[int, SeifertCircles]) -> list[int]:
         for i, (a, c) in enumerate(ends):
             if not u >> i & 1:
                 score[i] += 1 if of[a] == of[c] else -1
-    return sorted(range(len(ends)), key=lambda i: (score[i], i))
+    return sorted(range(len(ends)), key=score.__getitem__)
 
 
 def _composes_to_zero(outer: Sequence[Column], col: Column) -> bool:
@@ -524,14 +522,9 @@ class CanonicalCycle:
 
 
 def _expand_cycle(s: LeeComplexSlice, classes: tuple[int, ...]) -> CanonicalCycle:
-    k = s.diagram.seifert_circles.count
-    coeffs: dict[int, int] = {}
-    for label, row in enumerate(s.rows[0][s.diagram.oriented_mask]):
-        sign = 1
-        for j in range(k):
-            if classes[j] == 1 and not label >> j & 1:
-                sign = -sign
-        coeffs[row] = sign
+    odd = sum(1 << j for j, c in enumerate(classes) if c == 1)
+    coeffs = {row: -1 if (odd & ~label).bit_count() & 1 else 1
+              for label, row in enumerate(s.rows[0][s.diagram.oriented_mask])}
     min_q = min(s.gradings[0][i] for i in coeffs)
     return CanonicalCycle(coeffs, classes, min_q)
 
@@ -596,8 +589,8 @@ def canonical_cycles(s: LeeComplexSlice) -> tuple[CanonicalCycle, CanonicalCycle
 
 
 class _ColumnView(Mapping):
-    """A read-only {row: +-1} view of a stored signed row pair, the form in
-    which an echelon keeps a pivot that no reduction has read yet."""
+    """A read-only {row: +-1} view of a stored signed row pair, an echelon's
+    pivot that no reduction has read yet; ``Mapping`` supplies the rest."""
 
     __slots__ = ("pair",)
 
@@ -618,14 +611,6 @@ class _ColumnView(Mapping):
     def __len__(self) -> int:
         plus, minus = self.pair
         return len(plus) + len(minus)
-
-    def values(self) -> tuple[int, ...]:
-        plus, minus = self.pair
-        return (1,) * len(plus) + (-1,) * len(minus)
-
-    def items(self) -> list[tuple[int, int]]:
-        plus, minus = self.pair
-        return [*zip(plus, repeat(1)), *zip(minus, repeat(-1))]
 
 
 def _strip(col: dict[int, int]) -> dict[int, int]:

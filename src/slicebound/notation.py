@@ -11,9 +11,11 @@ Two text grammars are accepted:
 A PD tuple (a,b,c,d) is read counterclockwise starting at the incoming
 under-strand edge a.  Edge labels along each component are consecutive
 integers wrapping at the component's maximum label; crossing signs are derived
-from that convention, never stored in the text.  That label-run rule is the
-only check specific to PD text: the structure of the compiled diagram is
-checked by ``validate``, as for every other diagram.
+from that convention, never stored in the text.  Two checks are specific to
+PD text: that label-run rule, and planarity (``Diagram.is_planar``, a face
+count over the slot table), since a code can describe a virtual diagram,
+which braid closures and mirrors never are.  The structure of the compiled
+diagram is checked by ``validate``, as for every other diagram.
 
 ``BraidWord`` and ``braid_sign_condition``, the one property of a word that
 the bounds read, live here; ``diagram`` knows nothing of braid words.
@@ -119,8 +121,8 @@ def parse_pd(text: str) -> PdCode:
     are grammatical but not a coherent diagram: ``validate`` rejects labels
     not used exactly twice and edges not entered and left exactly once, and
     ``diagram_from_pd`` rejects components that are not consecutive label
-    runs.  The compiled diagram is the code's cached ``diagram``, and later
-    ``validate`` calls on it return at once.
+    runs and codes that are not planar.  The compiled diagram is the code's
+    cached ``diagram``, and later ``validate`` calls on it return at once.
     """
     if not text or not text.strip():
         raise ParseError("empty PD text")
@@ -157,8 +159,10 @@ def diagram_from_pd(code: PdCode) -> Diagram:
     (crossing index ascending) decides deterministically.
 
     The structure (each label on two crossings, each edge entered and left
-    once) is checked by ``validate``; the one PD-specific rule is that every
-    component is a consecutive label run, wrapping at its maximum.
+    once) is checked by ``validate``; the PD-specific rules are that every
+    component is a consecutive label run, wrapping at its maximum, and that
+    the code is planar: with the crossings' counterclockwise orders, each
+    piece has crossings + 2 faces.
     """
     unders = [(t[0], t[2]) for t in code.crossings]
     overs = []
@@ -196,6 +200,8 @@ def diagram_from_pd(code: PdCode) -> Diagram:
             raise ValidationError(
                 f"component containing edge {strand[0]} is not a consecutive label run; incoherent cycles"
             )
+    if not diagram.is_planar:
+        raise ValidationError("PD code is not planar: its crossings do not fit together on a sphere")
     return diagram
 
 

@@ -20,6 +20,10 @@ from slicebound.cli import bundled_table_path, main, run_fuzz, run_table
 
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
+# virtual codes: each passes every structure check but has too few faces
+# for the sphere
+NON_PLANAR_PDS = ("X[2,4,3,1] X[3,2,4,1]", "X[2,4,1,3] X[4,1,3,2]", "X[1,4,2,5] X[6,3,1,4] X[5,2,6,3]")
+NOT_PLANAR = "PD code is not planar: its crossings do not fit together on a sphere"
 FUZZ_1000_SEED_42 = """\
 fuzz: count=1000 strands<=5 max_length=12 seed=42 oracle=off
 cases: 1000  knots: 239  links: 761  split: 350
@@ -70,9 +74,12 @@ class TestBoundCommand:
         ("X[2,4,1,5] X[3,6,4,1] X[5,2,6,3]", "error: edge 2 is entered by 0 strand passages, expected 1\n"),
         ("X[1,5,3,4] X[2,1,4,6] X[5,2,6,3]",
          "error: component containing edge 1 is not a consecutive label run; incoherent cycles\n"),
+        *((pd, f"error: {NOT_PLANAR}\n") for pd in NON_PLANAR_PDS),
     ])
     def test_malformed_pd_exit_2(self, capsys, pd, err):
         assert run_cli(capsys, "bound", "--pd", pd) == (2, "", err)
+        assert run_cli(capsys, "bound", "--pd", pd, "--oracle") == (2, "", err)
+        assert run_cli(capsys, "oracle", "--pd", pd) == (2, "", err)
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "bound")
@@ -151,6 +158,22 @@ class TestOracleCommand:
         assert err == "internal consistency error: s = 4 disagrees with filtration jumps (1, 3)\n"
 
 
+class TestOutOption:
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--braid", "2: [1,1,1]", "--oracle"),
+        ("bound", "--pd", FIG8_PD, "--csv"),
+        ("oracle", "--pd", FIG8_PD),
+        ("table", "--oracle"),
+        ("fuzz", "--count", "50", "--seed", "7"),
+    ])
+    def test_the_file_holds_what_stdout_would(self, argv, tmp_path, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        path = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+
+
 class TestCrossingLimitOption:
     @pytest.mark.parametrize("argv", [
         ("bound", "--braid", "2: [1,1,1]", "--oracle"),
@@ -186,8 +209,9 @@ class TestTableCommand:
             'ok,"X[1,1,2,2]",0\n'
             'odd,"X[1,1,2,2]",1\n'
             'bad,"X[1,2,3]",\n'
-            'link,"X[1,3,2,4] X[2,4,1,3]",\n'
+            'link,"X[4,1,3,2] X[2,3,1,4]",\n'
             'notint,"X[1,1,2,2]",x\n'
+            + "".join(f'virtual{i},"{pd}",\n' for i, pd in enumerate(NON_PLANAR_PDS))
         )
         code, out, err = run_cli(capsys, "table", "--in", str(table))
         assert code == 1
@@ -197,6 +221,8 @@ class TestTableCommand:
         assert rows["bad"]["status"] == "ERROR"
         assert rows["link"]["status"] == "ERROR" and "knots" in rows["link"]["detail"]
         assert rows["notint"]["status"] == "ERROR" and "not an integer" in rows["notint"]["detail"]
+        for i in range(len(NON_PLANAR_PDS)):
+            assert (rows[f"virtual{i}"]["status"], rows[f"virtual{i}"]["detail"]) == ("ERROR", NOT_PLANAR)
 
     def test_unreadable_input_and_unwritable_output_exit_2(self, tmp_path, capsys):
         for argv in (("table", "--in", str(tmp_path / "missing.csv")),
@@ -271,6 +297,30 @@ class TestFuzzCommand:
                                "--max-crossings", "6")
         assert code == 0
         assert "sandwich:" in out
+
+    def test_a_structure_failure_is_reported(self, monkeypatch, capsys):
+        def refuse(d):
+            raise slicebound.diagram.ValidationError("refused")
+
+        monkeypatch.setattr(slicebound.checks, "validate", refuse)
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "20", "--seed", "42")
+        lines = out.splitlines()
+        failures = [line for line in lines if line.startswith("FAIL ")]
+        assert code == 1 and lines[-1] == "FAIL"
+        assert "  structure: 0/20" in lines and "  tightness: 20/20" in lines
+        assert len(failures) == 20 and all(f.startswith("FAIL property=structure case=") for f in failures)
+        assert failures[0] == "FAIL property=structure case=0 word=3:[-2] seed=5139283748462763858"
+
+    def test_a_tightness_failure_is_reported(self, monkeypatch, capsys):
+        # Delta = 2 on every diagram: a connected diagram in a tightness
+        # class makes ``bounds_report`` raise
+        monkeypatch.setattr(slicebound.bounds, "bound_Delta", lambda d: 2)
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "30", "--seed", "42")
+        lines = out.splitlines()
+        assert code == 1 and lines[-1] == "FAIL"
+        assert "  structure: 30/30" in lines and "  tightness: 29/30" in lines
+        assert [line for line in lines if line.startswith("FAIL ")] == [
+            "FAIL property=tightness case=11 word=4:[-1, -1, -1, -2, -1, -3] seed=7010184598893129283"]
 
 
 class TestRunFuzzEngine:
@@ -371,6 +421,13 @@ class TestRunTableEngine:
         out = run_table([{"name": "4_1", "pd": FIG8_PD}], oracle_limit=None)
         assert out[0]["status"] == "ERROR"
         assert out[0]["detail"] == "diagram is alternating but Delta = 2 != 0"
+
+    def test_oracle_outside_the_window_is_a_sandwich_violation(self, monkeypatch):
+        # the figure-eight diagram's window is [0, 0]
+        monkeypatch.setattr(slicebound.checks, "knot_s", lambda d, w, limit: 2)
+        out = run_table([{"name": "4_1", "pd": FIG8_PD}], oracle_limit=10)
+        assert (out[0]["s_oracle"], out[0]["status"]) == (2, "MISMATCH")
+        assert out[0]["detail"] == "sandwich_violation: s=2 outside [0, 0]"
 
 
 class TestPdCompiledOnce:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import slicebound.diagram
 from slicebound import (
     BraidWord,
+    ConsistencyError,
     Crossing,
     Diagram,
     SeifertCircles,
@@ -77,6 +78,24 @@ class TestValidate:
         bad = Diagram((Crossing((1, 3, 2, 4), 1), Crossing((3, 1, 2, 4), -1)))
         with pytest.raises(ValidationError):
             validate(bad)
+
+    def test_crossing_needs_positive_edge_ids(self):
+        with pytest.raises(ValidationError, match=r"^crossing needs 4 positive edge ids, got \(0, 1, 1, 0\)$"):
+            parse_pd("X[0,1,1,0]")
+
+    def test_crossing_sign_is_plus_or_minus_one(self):
+        with pytest.raises(ValidationError, match="^crossing sign must be \\+1 or -1, got 2$"):
+            Crossing((1, 2, 3, 4), 2)
+
+    def test_a_crossing_on_one_seifert_circle_is_inconsistent(self):
+        # a non-planar pair that ``validate`` accepts, built without the PD
+        # parse and its planarity check
+        d = Diagram((Crossing((2, 4, 3, 1), -1), Crossing((3, 2, 4, 1), 1)))
+        validate(d)
+        assert not d.is_planar
+        with pytest.raises(ConsistencyError,
+                           match="^crossing 0 smooths onto a single circle; orientation data invalid$"):
+            d.seifert_circles
 
 
 def _table_knots():
@@ -250,6 +269,32 @@ def _is_alternating_reference(d):
     return all(n == 1 for n in under_slots.values())
 
 
+def _faces_and_pieces(d):
+    """(faces, pieces with crossings) of a diagram whose edges each fill two
+    slots.  The faces are the union-find components of the corners: corner
+    (i, p) lies between positions p and p + 1 of crossing i, and for an edge
+    at positions (i, p) and (j, q) the corner before one end is on the face
+    of the corner after the other."""
+    ends = {}
+    for i, c in enumerate(d.crossings):
+        for p, e in enumerate(c.edges):
+            ends.setdefault(e, []).append((i, p))
+    n = len(d.crossings)
+    corners, pieces = UnionFind(4 * n), UnionFind(n)
+    for (i, p), (j, q) in ends.values():
+        corners.union(4 * i + (p - 1) % 4, 4 * j + q)
+        corners.union(4 * j + (q - 1) % 4, 4 * i + p)
+        pieces.union(i, j)
+    return corners.component_count(), pieces.component_count()
+
+
+def _is_planar_reference(d):
+    """``Diagram.is_planar`` by Euler's formula, V - E + F = 2 with E = 2V,
+    summed over the pieces with crossings."""
+    faces, pieces = _faces_and_pieces(d)
+    return faces == len(d.crossings) + 2 * pieces
+
+
 def _refusal(check, d):
     """The ValidationError message ``check(d)`` raises, or None."""
     try:
@@ -289,11 +334,13 @@ class TestSlotTable:
         if expected is None:
             assert d.is_connected == _is_connected_reference(d)
             assert is_alternating(d) == _is_alternating_reference(d)
+            assert d.is_planar == _is_planar_reference(d)
 
     @staticmethod
     def _assert_readers(d):
         assert d.is_connected == _is_connected_reference(d)
         assert is_alternating(d) == _is_alternating_reference(d)
+        assert d.is_planar and _is_planar_reference(d)
 
     @given(d=_braid_closures())
     def test_braid_closures_and_mirrors(self, d):
@@ -311,6 +358,29 @@ class TestSlotTable:
             self._assert_readers(d)
         assert not split.is_connected and kink.is_connected
 
+    @pytest.mark.parametrize("tuples, faces", [
+        (((2, 4, 3, 1), (3, 2, 4, 1)), 2),
+        (((2, 4, 1, 3), (4, 1, 3, 2)), 2),
+        (((1, 4, 2, 5), (6, 3, 1, 4), (5, 2, 6, 3)), 3),
+        (((1, 3, 2, 4), (2, 4, 1, 3)), 2),
+    ])
+    def test_virtual_codes_are_not_planar(self, tuples, faces):
+        # one piece with n crossings: planar exactly with n + 2 faces; the
+        # signs do not enter
+        for sign in (1, -1):
+            d = Diagram(tuple(Crossing(edges, sign) for edges in tuples))
+            assert _faces_and_pieces(d) == (faces, 1) and faces < len(tuples) + 2
+            assert not d.is_planar
+
+    def test_split_diagram_is_planar_piece_by_piece(self):
+        # two Hopf clasps side by side, and a free loop: 4 + 4 faces
+        hopf = ((4, 1, 3, 2), (2, 3, 1, 4))
+        d = Diagram(tuple(Crossing(tuple(e + 4 * k for e in edges), -1) for k in (0, 1) for edges in hopf),
+                    (9,))
+        validate(d)
+        assert _faces_and_pieces(d) == (8, 2)
+        assert d.is_planar and not d.is_connected
+
     def test_one_table_serves_every_reader(self, monkeypatch):
         walk = Diagram._slot_walk.func
         built = []
@@ -322,7 +392,8 @@ class TestSlotTable:
         table = cached_property(counting)
         table.__set_name__(Diagram, "_slot_walk")
         monkeypatch.setattr(Diagram, "_slot_walk", table)
-        readers = (validate, lambda d: d.is_connected, is_alternating, lambda d: d.resolution(0))
+        readers = (validate, lambda d: d.is_connected, lambda d: d.is_planar, is_alternating,
+                   lambda d: d.resolution(0))
         for read in readers:  # each reader builds the table on a fresh diagram
             d = Diagram(FIG8.crossings)
             read(d)

@@ -49,6 +49,7 @@
 * Which crossing slots an edge fills is tabled in one place:
   ``Diagram._slot_walk`` is the incidence table, and ``_check_structure``
   (behind ``validate``), ``edge_ids``, ``strands``, ``is_connected``,
+  ``is_planar`` (the face count of the PD planarity check),
   ``is_alternating`` and ``resolution`` read it.  All but ``resolution``
   build no per-edge dict of their own, and no module names a successor
   map: the strand cycles are walked over the slot table, in
@@ -290,9 +291,10 @@ def _builds_a_dict(node):
 
 def test_the_slot_table_is_the_one_incidence_table():
     functions = {node.name: node for node in ast.walk(_trees()["diagram.py"]) if isinstance(node, ast.FunctionDef)}
-    for reader in ("_check_structure", "edge_ids", "strands", "is_connected", "is_alternating", "resolution"):
+    for reader in ("_check_structure", "edge_ids", "strands", "is_connected", "is_planar", "is_alternating",
+                   "resolution"):
         assert "_slot_walk" in _names(functions[reader]), reader
-    for reader in ("_check_structure", "edge_ids", "strands", "is_connected", "is_alternating"):
+    for reader in ("_check_structure", "edge_ids", "strands", "is_connected", "is_planar", "is_alternating"):
         assert not any(map(_builds_a_dict, ast.walk(functions[reader]))), reader
 
 

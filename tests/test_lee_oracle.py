@@ -236,6 +236,10 @@ class TestFiltrationProfile:
             assert dims == sorted(dims)
             assert dims[-1] == 2
 
+    def test_jumps_two_apart(self):
+        with pytest.raises(ConsistencyError, match="^filtration jump gap is 4, expected 2$"):
+            profile_jumps({1: 1, -3: 2})
+
 
 class TestOnePass:
     def test_oracle_command_builds_and_echelons_once(self, monkeypatch, capsys):
@@ -1006,6 +1010,14 @@ class TestTableDrivenConstruction:
         assert len(knots) == 36
         for d in knots:
             self._assert_matches_reference(d)
+
+    def test_a_flip_that_keeps_the_circle_count_is_inconsistent(self):
+        # in a planar diagram flipping one crossing merges or splits; here the
+        # kink's target vertex 1 is handed the circles of vertex 0
+        circles = {0: KINK.resolution(0), 1: KINK.resolution(0)}
+        with pytest.raises(ConsistencyError, match="^resolution change at crossing 0 is not a merge or split; "
+                                                   "diagram data is not planar$"):
+            list(_build_matrix(KINK, (0,), {}, circles, {}))
 
 
 class TestGathers:

@@ -1,5 +1,7 @@
 """Parsers, printers, braid closures, and the seeded fuzzer."""
 
+import csv
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from slicebound import (
     braid_text,
     diagram_from_pd,
     is_reduced,
+    mirror,
     parse_braid,
     parse_pd,
     pd_code,
@@ -23,6 +26,7 @@ from slicebound import (
     reduce_braid,
     validate,
 )
+from slicebound.checks import bundled_table_path
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -37,6 +41,10 @@ class TestParseBraid:
 
     def test_whitespace_insensitive(self):
         assert parse_braid("  3 :  [ 1 , -2 ]  ") == BraidWord(3, (1, -2))
+
+    def test_strand_count_at_least_one(self):
+        with pytest.raises(ValidationError, match="^strand count must be >= 1, got 0$"):
+            BraidWord(0)
 
     def test_letter_zero_rejected(self):
         with pytest.raises(ValidationError):
@@ -105,6 +113,31 @@ class TestParsePd:
         with pytest.raises(ValidationError, match="consecutive label run"):
             parse_pd("X[1,5,3,4] X[2,1,4,6] X[5,2,6,3]")
 
+    @pytest.mark.parametrize("text", [
+        "X[2,4,3,1] X[3,2,4,1]",  # else a crossing smooths onto one Seifert circle
+        "X[2,4,1,3] X[4,1,3,2]",  # else alternating with Delta = 1
+        "X[1,4,2,5] X[6,3,1,4] X[5,2,6,3]",  # else a window and an s are reported
+        "X[1,3,2,4] X[2,4,1,3]",
+    ])
+    def test_a_code_that_is_not_planar_is_refused(self, text):
+        # each passes ``validate`` and the label-run rule
+        with pytest.raises(ValidationError,
+                           match="^PD code is not planar: its crossings do not fit together on a sphere$"):
+            parse_pd(text)
+
+    def test_table_rows_and_their_mirrors_parse(self):
+        with open(bundled_table_path(), newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 36
+        for row in rows:
+            d = parse_pd(row["pd"]).diagram
+            for side in (d, mirror(d)):
+                assert parse_pd(pd_text(pd_code(side))).diagram.is_planar
+
+    def test_no_crossings_in_brackets(self):
+        with pytest.raises(ParseError, match="^PD text contains no crossings$"):
+            parse_pd("PD[]")
+
     def test_parsed_diagram_is_validated_once(self, calls):
         checks = calls(slicebound.diagram, "_check_structure")
         d = parse_pd(TREFOIL_PD).diagram
@@ -113,12 +146,12 @@ class TestParsePd:
         assert len(checks) == 1
 
     def test_clasp_over_two_edge_component_is_deterministic(self):
-        # one circle passing twice over a 2-edge circle: both sign readings
-        # are grammatical; the parse picks one and sticks with it
-        d = diagram_from_pd(parse_pd("X[1,3,2,4] X[2,4,1,3]"))
+        # a 2-edge circle passing twice over another 2-edge circle: both
+        # sign readings are grammatical; the parse picks one and sticks with it
+        d = diagram_from_pd(parse_pd("X[1,3,2,4] X[2,3,1,4]"))
         assert d.components == 2
         assert d.writhe in (-2, 0, 2)
-        assert d == diagram_from_pd(parse_pd("X[1,3,2,4] X[2,4,1,3]"))
+        assert d == diagram_from_pd(parse_pd("X[1,3,2,4] X[2,3,1,4]"))
 
     def test_print_round_trip(self):
         code = parse_pd(TREFOIL_PD)
@@ -169,6 +202,10 @@ class TestBraidClosure:
         for seed in range(20):
             w = random_braid(4, 7, seed)
             assert braid_closure(w).writhe == sum(1 if k > 0 else -1 for k in w.letters)
+
+    def test_free_loops_have_no_pd_code(self):
+        with pytest.raises(ValidationError, match="^crossingless components cannot be expressed as PD text$"):
+            pd_code(braid_closure(BraidWord(3, (1, 1))))
 
     def test_closure_round_trips_through_pd(self):
         # sign sequences are pinned for knots; link codes with doubly-covered
@@ -278,3 +315,8 @@ class TestRandomBraid:
             random_braid(1, 5, 0)
         with pytest.raises(ValidationError):
             random_braid(3, -1, 0)
+
+    def test_corpus_range_is_checked_when_iteration_starts(self):
+        corpus = random_braids(-1, 5, 12, 42)
+        with pytest.raises(ValidationError, match="^fuzz needs count >= 0, strands >= 2, max_length >= 0$"):
+            next(corpus)

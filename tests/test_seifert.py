@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from slicebound import (
     BraidWord,
+    ConsistencyError,
     DisconnectedDiagramError,
+    SeifertGraph,
     aux_graph,
     betti1,
     betti1_components,
@@ -215,6 +217,11 @@ class TestAuxGraph:
         G = aux_graph(seifert_graph(d), oriented_resolution(d))
         assert betti1_components(G) == [0, 0]
 
+    def test_circles_of_another_diagram_are_refused(self):
+        # the trefoil closure has 2 Seifert circles, the figure-eight 3
+        with pytest.raises(ValueError, match="^circles and graph come from different diagrams$"):
+            aux_graph(TREFOIL.seifert_graph, FIG8.seifert_circles)
+
 
 class TestTwoColoring:
     def test_adjacent_circles_get_opposite_classes(self):
@@ -230,3 +237,9 @@ class TestTwoColoring:
         color = two_coloring(g)
         for u, v, _, _ in g.edges:
             assert color[u] != color[v]
+
+    def test_an_odd_cycle_is_inconsistent(self):
+        # the Seifert graph of a planar diagram is bipartite; a triangle is not
+        triangle = SeifertGraph(3, ((0, 1, 1, 0), (1, 2, 1, 1), (0, 2, 1, 2)))
+        with pytest.raises(ConsistencyError, match="^Seifert graph is not bipartite; diagram data is not planar$"):
+            two_coloring(triangle)
