@@ -1,15 +1,17 @@
 """The table and fuzz engines behind the ``table`` and ``fuzz`` commands,
 and the two ways any command reaches the oracle: ``knot_s``, for the engines
-and ``bound --oracle``, and ``oracle_report``, for the ``oracle`` command.
+and ``bound --oracle``, which runs it on ``simplify(d)``, and
+``oracle_report``, for the ``oracle`` command, which never simplifies.
 
 Side rule: ``_oracle_side`` picks whichever of the diagram and its mirror
 has fewer negative crossings (the diagram itself on a tie), and both
-``knot_s`` and ``oracle_report`` build the slice of that side.  The mirror's
-filtered Lee complex is the dual of the diagram's, with degree ``i -> -i``
-and grading ``q -> -q`` (Lee, arXiv math/0210213), so ``s(mK) = -s(K)``
-(Rasmussen, arXiv math/0402131) and every field of the ``oracle`` payload
-maps back exactly: ``knot_s`` negates ``s``, and ``oracle_report`` also
-swaps the C^-1 and C^1 dimensions and reads the profile through
+``_drawn_s`` (behind ``knot_s``) and ``oracle_report`` build the slice of
+that side.  The mirror's filtered Lee complex is the dual of the diagram's,
+with degree ``i -> -i`` and grading ``q -> -q`` (Lee, arXiv
+math/0210213), so ``s(mK) = -s(K)`` (Rasmussen, arXiv math/0402131) and
+every field of the ``oracle`` payload maps back exactly: ``_drawn_s``
+negates ``s``, and ``oracle_report`` also swaps the C^-1 and C^1
+dimensions and reads the profile through
 ``dim F^j H^0(D) = 2 - dim F^{2-j} H^0(mD)``.  The bounds and the window
 stay on the diagram as given.
 
@@ -23,7 +25,7 @@ thousands of tuples, lists and dicts and hold no reference cycle, so
 reference counting frees all of them, yet CPython's cyclic collector starts
 every 700 net allocations and walks the live ones: 79 collections inside
 ``build_slice`` in one ``oracle-mid`` round, 768 in one oracle call on a
-14-crossing word.  ``knot_s`` and ``oracle_report`` therefore run a slice's
+14-crossing word.  ``_drawn_s`` and ``oracle_report`` therefore run a slice's
 whole life, from ``build_slice`` to its last read, inside
 ``_collector_paused()``, and release the slice before the block ends, so a
 collection that starts once the block ends finds no slice to walk.  No
@@ -42,9 +44,9 @@ from importlib.resources import files
 from typing import Iterator, Optional
 
 from .bounds import bound_Delta, bound_U, bounds_report, classic_bennequin, genus_bound_knot, genus_bound_link
-from .diagram import ConsistencyError, Diagram, ValidationError, mirror, validate
+from .diagram import ConsistencyError, Diagram, ValidationError, mirror, simplify, validate
 from .lee_oracle import CrossingLimitError, build_slice, filtration_profile, profile_jumps, s_invariant
-from .notation import BraidWord, ParseError, braid_closure, is_reduced, parse_pd, random_braids, reduce_braid
+from .notation import ParseError, braid_closure, parse_pd, random_braids
 from .seifert import aux_graph, betti1_components
 
 TABLE_COLUMNS = ["name", "U", "Delta", "s_lower", "s_upper", "s_oracle", "known_s", "status", "detail"]
@@ -87,24 +89,22 @@ def _oracle_side(d: Diagram) -> tuple[Diagram, int]:
     return d, 1
 
 
-def knot_s(d: Diagram, word: Optional[BraidWord], limit: int) -> int:
-    """Rasmussen invariant of the knot ``d`` presents, computed on the
-    closure of ``reduce_braid(word)`` or on its mirror.
-
-    ``word``, when given, must be the word ``d`` is the closure of.  ``s`` is
-    a knot invariant, so the oracle may run on any diagram of the knot; the
-    reduced closure has at most as many crossings.  When ``word`` is None or
-    already reduced, ``d`` itself is used.  The slice is built on that
-    diagram's ``_oracle_side`` and ``s`` times its sign returned, since
-    ``s(mK) = -s(K)``.  ``limit`` applies to the diagram the oracle runs on:
-    a refusal concerns the reduced closure.  The slice lives and dies
-    inside ``_collector_paused``.
-    """
-    if word is not None and not is_reduced(word):
-        d = braid_closure(reduce_braid(word))
+def _drawn_s(d: Diagram, limit: int) -> int:
+    """Rasmussen invariant of the knot ``d`` presents, computed on ``d`` as
+    drawn: the slice of ``_oracle_side(d)`` lives inside ``_collector_paused``,
+    and ``s`` times its sign is returned, as ``s(mK) = -s(K)``."""
     side, sign = _oracle_side(d)
     with _collector_paused():
         return sign * s_invariant(build_slice(side, limit))
+
+
+def knot_s(d: Diagram, limit: int) -> int:
+    """Rasmussen invariant of the knot ``d`` presents, computed by
+    ``_drawn_s`` on ``simplify(d)``: ``s`` is a knot invariant, so the oracle
+    may run on any diagram of the knot, and this one has at most as many
+    crossings (``d`` itself when it has no kink or bigon).  ``limit``
+    applies to the simplified diagram: a refusal concerns it, not ``d``."""
+    return _drawn_s(simplify(d), limit)
 
 
 def _checked_payload(s: int, profile: dict[int, int], dims: dict[str, int]) -> dict:
@@ -123,7 +123,7 @@ def _checked_payload(s: int, profile: dict[int, int], dims: dict[str, int]) -> d
 
 
 def oracle_report(d: Diagram, limit: int) -> dict:
-    """The ``oracle`` command's payload for ``d`` as given, never reduced:
+    """The ``oracle`` command's payload for ``d`` as given, never simplified:
     ``s``, ``s_min``, the filtration jumps, the profile and the dimensions
     of C^-1, C^0 and C^1.
 
@@ -184,7 +184,7 @@ def run_table(rows, oracle_limit: Optional[int]):
             out["U"], out["Delta"], out["s_lower"], out["s_upper"] = report.U, report.Delta, lo, hi
             if oracle_limit is not None:
                 with suppress(CrossingLimitError):  # a refused row leaves s_oracle blank
-                    out["s_oracle"] = s_oracle = knot_s(d, None, oracle_limit)
+                    out["s_oracle"] = s_oracle = knot_s(d, oracle_limit)
         except (ParseError, ValidationError, ConsistencyError) as exc:
             out["status"], out["detail"] = "ERROR", str(exc)
             results.append(out)
@@ -260,10 +260,10 @@ def run_fuzz(
     Words are drawn with strand counts in [2, strands] and lengths in
     [0, max_length]; all derived data is a pure function of the arguments.
     The sandwich against the exact oracle runs only for knot closures whose
-    reduced word (``knot_s``) the oracle accepts at ``oracle_limit``
-    crossings (None disables it).  When the word reduces and the oracle
-    also accepts the closure as drawn, ``reduced_s`` checks that both
-    diagrams give the same ``s``.
+    simplified diagram (``knot_s``) the oracle accepts at ``oracle_limit``
+    crossings (None disables it).  When ``simplify`` removes crossings and
+    the oracle also accepts the closure as drawn, ``reduced_s`` checks that
+    ``_drawn_s`` gives the same ``s`` on it.
     """
     summary = FuzzSummary(count, strands, max_length, seed, oracle_limit)
     for case, (w, word_seed) in enumerate(random_braids(count, strands, max_length, seed)):
@@ -311,8 +311,8 @@ def run_fuzz(
             summary.record("link_reduction", genus_bound_link(d) == gk, context)
             if oracle_limit is not None:
                 with suppress(CrossingLimitError):  # a refused case skips the sandwich
-                    s = knot_s(d, w, oracle_limit)
+                    s = knot_s(d, oracle_limit)
                     summary.record("sandwich", u - 2 * delta <= s <= u, context)
-                    if not is_reduced(w):
-                        summary.record("reduced_s", knot_s(d, None, oracle_limit) == s, context)
+                    if len(simplify(d).crossings) < len(d.crossings):
+                        summary.record("reduced_s", _drawn_s(d, oracle_limit) == s, context)
     return summary

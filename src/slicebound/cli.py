@@ -68,7 +68,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         payload["s_oracle"] = None
         if d.is_connected and d.is_knot:
             try:
-                payload["s_oracle"] = knot_s(d, w, args.max_crossings)
+                payload["s_oracle"] = knot_s(d, args.max_crossings)
             except CrossingLimitError as exc:
                 print(f"oracle skipped: {exc}", file=sys.stderr)
     if args.csv:

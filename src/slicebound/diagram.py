@@ -16,17 +16,19 @@ that edge.  Everything that asks which slots an edge fills reads it:
 ``Diagram.strands``, the one walk of the strand cycles, straight on through
 each crossing from slot 4i+p to 4i+(p^2) (components, PD export and the PD
 label-run rule read it), ``Diagram.is_connected`` (crossings joined along
-edges), ``Diagram.is_planar`` (the faces, walked from slot to slot: the
-planarity check of PD input), ``is_alternating`` (every edge joins an
-even, under-strand slot to an odd, over-strand one) and
+edges), ``Diagram.faces`` (walked from slot to slot; ``Diagram.is_planar``,
+the planarity check of PD input, counts them), ``is_alternating`` (every
+edge joins an even, under-strand slot to an odd, over-strand one),
+``simplify`` (Reidemeister I and II moves, found among the faces) and
 ``Diagram.resolution``, the one routine that smooths the crossings and
 numbers the resulting circles by walking slots: the smoothing of crossing i
 joins slot 4i+p to 4i+(p^1) or 4i+(p^3).  ``UnionFind`` serves
 ``Diagram.is_connected``, the piece count of ``Diagram.is_planar``, the
-signed-subgraph components of the Seifert graph and
-``seifert.betti1_components``.  The oriented resolution (the Seifert
-circles) and the signed Seifert graph on it are cached on the diagram like
-its other derived quantities, so every bound reads one structure.  Braid words, and ``braid_sign_condition`` with
+strands that ``simplify`` joins, the signed-subgraph components of the
+Seifert graph and ``seifert.betti1_components``.  The oriented resolution
+(the Seifert circles) and the signed Seifert graph on it are cached on the
+diagram like its other derived quantities, so every bound reads one
+structure.  Braid words, and ``braid_sign_condition`` with
 them, live in ``notation``.
 """
 
@@ -215,30 +217,39 @@ class Diagram:
         return uf.component_count() == 1
 
     @cached_property
-    def is_planar(self) -> bool:
-        """True when the crossings' counterclockwise orders embed the diagram
-        in the plane: by Euler's formula with E = 2V, when every piece with
-        crossings has crossings + 2 faces (fewer means a surface of higher
-        genus, a virtual diagram).  The faces are the cycles of the slot map
-        s -> partner of the next slot counterclockwise at s's crossing; each
-        face keeps to one piece, and the union-find over the crossings counts
-        the pieces along the face walks.  A free loop is planar.
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles of the slot map s -> partner of the next slot
+        counterclockwise at s's crossing, each from its smallest slot, in slot
+        order.  Slot 4i+p is the face's corner between positions p and p+1 of
+        crossing i, left along the edge at 4i+((p+1)&3).  Free loops have none.
         """
         _, partner, _ = self._slot_walk
-        uf = UnionFind(len(self.crossings))
         seen = [False] * len(partner)
-        faces = 0
+        faces = []
         for start in range(len(partner)):
-            if seen[start]:
-                continue
-            faces += 1
+            face = []
             s = start
             while not seen[s]:
                 seen[s] = True
-                t = partner[4 * (s >> 2) + ((s + 1) & 3)]
-                uf.union(s >> 2, t >> 2)
-                s = t
-        return faces == len(self.crossings) + 2 * uf.component_count()
+                face.append(s)
+                s = partner[4 * (s >> 2) + ((s + 1) & 3)]
+            if face:
+                faces.append(tuple(face))
+        return tuple(faces)
+
+    @cached_property
+    def is_planar(self) -> bool:
+        """True when the crossings' counterclockwise orders embed the diagram
+        in the plane: by Euler's formula with E = 2V, when every piece with
+        crossings has crossings + 2 ``faces`` (fewer means a surface of higher
+        genus, a virtual diagram).  The union-find over the crossings counts
+        the pieces along the faces, each of which keeps to one piece.
+        """
+        uf = UnionFind(len(self.crossings))
+        for face in self.faces:
+            for s in face:
+                uf.union(face[0] >> 2, s >> 2)
+        return len(self.faces) == len(self.crossings) + 2 * uf.component_count()
 
     @cached_property
     def oriented_mask(self) -> int:
@@ -255,7 +266,7 @@ class Diagram:
 
         Its readers: ``validate``'s structure checks, ``edge_ids``, the
         strand walk of ``strands``, ``is_connected``, the face walk of
-        ``is_planar``, ``is_alternating`` and the circle walk of
+        ``faces``, ``is_alternating``, ``simplify`` and the circle walk of
         ``resolution``.  A walk ends only if ``partner`` is an involution,
         so an edge in a third slot raises here: a mirror image, for one, is
         resolved without passing through ``validate``.
@@ -388,6 +399,38 @@ def mirror(d: Diagram) -> Diagram:
         else:
             flipped.append(Crossing((b, cc, dd, a), +1))
     return Diagram(tuple(flipped), d.free_loops)
+
+
+def simplify(d: Diagram) -> Diagram:
+    """A diagram of the same link with no Reidemeister I kink or II bigon,
+    or ``d`` itself when it has none.
+
+    Repeatedly removes the first such face in ``faces`` order.  A face with
+    one corner is a kink; a face with two corners is an R2 bigon when its
+    edge fills slots of equal parity at both, on one level (a clasp has
+    opposite parity and stays), which puts them at two crossings.  The face's
+    crossings go: the union-find over slots joins each of their slots to the
+    other end of its edge and to the slot straight across (p -> p^2), each
+    joined strand keeps one of its edge ids, and one left with no slot
+    becomes a free loop.  R2 keeps the writhe; R1 changes it by the kink's sign.
+    """
+    while True:
+        for face in d.faces:
+            gone = {face[0] >> 2, face[-1] >> 2}
+            if len(face) == 1 or (len(face) == 2 and (face[0] ^ face[1]) & 1):
+                break
+        else:
+            return d
+        edges, partner, _ = d._slot_walk
+        uf = UnionFind(len(edges))
+        for s in range(len(edges)):
+            if s >> 2 in gone:
+                uf.union(s, partner[s])
+                uf.union(s, s ^ 2)
+        label = [edges[uf.find(s)] for s in range(len(edges))]
+        kept = tuple(Crossing(tuple(label[4 * i:4 * i + 4]), c.sign)
+                     for i, c in enumerate(d.crossings) if i not in gone)
+        d = Diagram(kept, d.free_loops + tuple(sorted(set(label).difference(*(c.edges for c in kept)))))
 
 
 def is_positive(d: Diagram) -> bool:

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .diagram import Crossing, Diagram, ValidationError, validate
 
@@ -249,52 +249,6 @@ def braid_closure(w: BraidWord) -> Diagram:
     )
     loops = tuple(p for p in range(1, n + 1) if not touched[p])
     return Diagram(crossings, loops)
-
-
-def _reduction_move(w: BraidWord) -> Optional[BraidWord]:
-    """The first of ``reduce_braid``'s moves that applies to ``w``, applied
-    once, or None when none does."""
-    n, letters = w.strands, w.letters
-    for i in range(len(letters) - 1):
-        if letters[i] == -letters[i + 1]:
-            return BraidWord(n, letters[:i] + letters[i + 2:])
-    if len(letters) > 1 and letters[0] == -letters[-1]:
-        return BraidWord(n, letters[1:-1])
-    for gen, shift in ((n - 1, 0), (1, 1)):
-        hits = [i for i, k in enumerate(letters) if abs(k) == gen]
-        if len(hits) == 1:
-            i = hits[0]
-            rest = letters[i + 1:] + letters[:i]
-            return BraidWord(n - 1, tuple(k - shift if k > 0 else k + shift for k in rest))
-    return None
-
-
-def reduce_braid(w: BraidWord) -> BraidWord:
-    """A word whose closure is the same link as ``w``'s, with at most as many
-    crossings and strands.
-
-    Repeats three moves until none applies, in this order of preference:
-
-    * free reduction: an adjacent pair k, -k cancels;
-    * cyclic reduction: a first letter equal to minus the last cancels with
-      it, since the closure is invariant under conjugation;
-    * Markov destabilisation: when sigma_{n-1} occurs exactly once, the word
-      is rotated (conjugated) so that letter comes last, and the letter is
-      dropped together with the last strand.  When sigma_1 occurs exactly
-      once, the same is done at the first strand, and the other letters
-      shift down by one (conjugation by the half twist exchanges the ends).
-
-    Far commutation is not used.  The result is a fixed point, and a word to
-    which no move applies is returned as is.
-    """
-    while (step := _reduction_move(w)) is not None:
-        w = step
-    return w
-
-
-def is_reduced(w: BraidWord) -> bool:
-    """True when ``reduce_braid(w)`` is ``w``: no move applies."""
-    return _reduction_move(w) is None
 
 
 def _splitmix64(state: int):

@@ -14,7 +14,7 @@ import slicebound.diagram
 import slicebound.notation
 import slicebound.seifert
 from slicebound import BraidWord, CrossingLimitError, SeifertGraph, braid_closure, build_slice, parse_braid
-from slicebound import random_braids, reduce_braid, s_invariant
+from slicebound import parse_pd, pd_code, pd_text, random_braids, s_invariant, simplify
 from slicebound.checks import knot_s
 from slicebound.cli import bundled_table_path, main, run_fuzz, run_table
 
@@ -113,9 +113,9 @@ class TestBoundCommand:
         assert err == f"error: {refusal.value}\n"
 
     def test_oracle_runs_on_the_reduced_word(self, capsys):
-        # 13 crossings as drawn, 8 after reduction; s = -2 by the full oracle
+        # 13 crossings as drawn, 8 after simplify; s = -2 by the full oracle
         word = "4: [-3,-1,1,-3,-2,2,-2,-2,1,3,-2,3,2]"
-        assert len(reduce_braid(parse_braid(word)).letters) == 8
+        assert len(simplify(braid_closure(parse_braid(word))).crossings) == 8
         code, out, err = run_cli(capsys, "bound", "--braid", word, "--oracle")
         assert (code, err) == (0, "")
         payload = json.loads(out)
@@ -123,6 +123,13 @@ class TestBoundCommand:
         assert payload["s_lower"] <= -2 <= payload["s_upper"]
         code, _, err = run_cli(capsys, "oracle", "--braid", word)
         assert code == 2 and "13 crossings" in err
+
+    def test_oracle_simplifies_pd_input(self, capsys):
+        # 14 crossings as drawn, beyond the default limit; 6 after simplify
+        pd = pd_text(pd_code(braid_closure(parse_braid("5: [-3,-1,-1,-4,4,-4,1,4,2,2,3,-4,3,-2]"))))
+        code, out, err = run_cli(capsys, "bound", "--pd", pd, "--oracle")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["s_oracle"] == 2
 
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "bound", "--braid", "3: [1,-2,1,-2]", "--oracle")
@@ -371,35 +378,43 @@ class TestRunFuzzEngine:
 
 class TestKnotS:
     def test_equals_the_oracle_on_the_diagram_as_drawn(self):
-        checked = shrunk = 0
-        for w, _ in random_braids(200, 5, 12, 42):
-            d = braid_closure(w)
-            if not (d.is_knot and d.is_connected) or len(d.crossings) > 9:
-                continue
-            assert knot_s(d, w, 9) == s_invariant(build_slice(d, 9)), w
-            checked += 1
-            shrunk += reduce_braid(w) != w
-        assert checked >= 30 and shrunk >= checked // 2
+        # the fuzz corpora of seeds 7 and 42 at word length 16: every knot
+        # closure of at most 10 crossings that simplify shrinks
+        checked = 0
+        for seed in (7, 42):
+            for w, _ in random_braids(1000, 5, 16, seed):
+                d = braid_closure(w)
+                if not (d.is_knot and d.is_connected) or len(d.crossings) > 10 or simplify(d) is d:
+                    continue
+                assert knot_s(d, 10) == slicebound.checks._drawn_s(d, 10), w
+                checked += 1
+        assert checked >= 100
 
     def test_without_a_word_uses_the_diagram(self, calls):
+        # PD input, with no kink or bigon: the parsed diagram itself
         built = calls(slicebound.checks, "build_slice")
-        d = braid_closure(BraidWord(3, (1, 1, 2, 1)))
-        assert knot_s(d, None, 12) == 2
+        d = parse_pd(FIG8_PD).diagram
+        assert knot_s(d, 12) == 0
         assert built[0][0] is d
 
     def test_a_reduced_word_uses_the_diagram(self, calls):
         built = calls(slicebound.checks, "build_slice")
         w = BraidWord(2, (1, 1, 1))
         d = braid_closure(w)
-        assert knot_s(d, w, 12) == 2
+        assert knot_s(d, 12) == 2
         assert built[0][0] is d
 
+    def test_a_kink_goes_before_the_oracle(self, calls):
+        built = calls(slicebound.checks, "build_slice")
+        d = braid_closure(BraidWord(3, (1, 1, 2, 1)))
+        assert knot_s(d, 12) == 2
+        assert len(built[0][0].crossings) == 3
+
     def test_the_refusal_concerns_the_reduced_diagram(self):
-        w = BraidWord(3, (1, 1, 1, 1, 1, 2))
-        d = braid_closure(w)
-        assert knot_s(d, w, 5) == 4
+        d = braid_closure(BraidWord(3, (1, 1, 1, 1, 1, 2)))
+        assert knot_s(d, 5) == 4
         with pytest.raises(CrossingLimitError, match="5 crossings exceeds the configured limit 4"):
-            knot_s(d, w, 4)
+            knot_s(d, 4)
 
     def test_fuzz_checks_the_reduced_s(self):
         summary = run_fuzz(200, 5, 12, 42, oracle_limit=9)
@@ -424,7 +439,7 @@ class TestRunTableEngine:
 
     def test_oracle_outside_the_window_is_a_sandwich_violation(self, monkeypatch):
         # the figure-eight diagram's window is [0, 0]
-        monkeypatch.setattr(slicebound.checks, "knot_s", lambda d, w, limit: 2)
+        monkeypatch.setattr(slicebound.checks, "knot_s", lambda d, limit: 2)
         out = run_table([{"name": "4_1", "pd": FIG8_PD}], oracle_limit=10)
         assert (out[0]["s_oracle"], out[0]["status"]) == (2, "MISMATCH")
         assert out[0]["detail"] == "sandwich_violation: s=2 outside [0, 0]"

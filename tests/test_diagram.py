@@ -24,9 +24,11 @@ from slicebound import (
     is_negative,
     is_positive,
     mirror,
+    parse_braid,
     parse_pd,
     pd_code,
     random_braid,
+    simplify,
     validate,
 )
 from slicebound.checks import bundled_table_path
@@ -295,6 +297,20 @@ def _is_planar_reference(d):
     return faces == len(d.crossings) + 2 * pieces
 
 
+def _assert_faces(d):
+    """``Diagram.faces`` against the corner reference: as many faces, every
+    slot on exactly one, each face a cycle of the slot map from its smallest
+    slot, and the faces in slot order."""
+    faces = d.faces
+    partner = d._slot_walk[1]
+    assert len(faces) == _faces_and_pieces(d)[0]
+    assert sorted(chain.from_iterable(faces)) == list(range(4 * len(d.crossings)))
+    assert [face[0] for face in faces] == sorted(min(face) for face in faces)
+    for face in faces:
+        for s, t in zip(face, face[1:] + face[:1]):
+            assert partner[4 * (s >> 2) + ((s + 1) & 3)] == t
+
+
 def _refusal(check, d):
     """The ValidationError message ``check(d)`` raises, or None."""
     try:
@@ -335,12 +351,14 @@ class TestSlotTable:
             assert d.is_connected == _is_connected_reference(d)
             assert is_alternating(d) == _is_alternating_reference(d)
             assert d.is_planar == _is_planar_reference(d)
+            _assert_faces(d)
 
     @staticmethod
     def _assert_readers(d):
         assert d.is_connected == _is_connected_reference(d)
         assert is_alternating(d) == _is_alternating_reference(d)
         assert d.is_planar and _is_planar_reference(d)
+        _assert_faces(d)
 
     @given(d=_braid_closures())
     def test_braid_closures_and_mirrors(self, d):
@@ -432,6 +450,71 @@ class TestMirror:
             assert m.strands == d.strands
             assert _successor(m) == _successor(d)
             assert m.components == d.components
+
+
+def _moves_left(d):
+    """The faces ``simplify`` would remove: kinks, and bigons at two
+    crossings whose edges keep one level (corner slots of opposite parity)."""
+    return [face for face in d.faces if len(face) == 1 or (
+        len(face) == 2 and face[0] >> 2 != face[1] >> 2 and (face[0] ^ face[1]) & 1)]
+
+
+class TestSimplify:
+    """``simplify`` removes Reidemeister I kinks and II bigons, read off the
+    faces, until none is left."""
+
+    @staticmethod
+    def _assert_simplified(d):
+        t = simplify(d)
+        validate(t)
+        assert t.is_planar and t.components == d.components and t.is_connected <= d.is_connected
+        assert len(t.crossings) <= len(d.crossings) and not _moves_left(t)
+        assert (t is d) == (not _moves_left(d))
+        if not t.free_loops:  # a planar code that compiles back
+            back = diagram_from_pd(pd_code(t))
+            assert back.components == t.components and (back.writhe == t.writhe or not t.is_knot)
+        return t
+
+    @pytest.mark.parametrize("word, crossings", [
+        ("5: [4,2,-4,3,-1,-2,4,-2,-4,3,-3,-4]", 0),
+        ("4: [-3,-1,1,-3,-2,2,-2,-2,1,3,-2,3,2]", 8),
+        ("4: [-1,1,-1,3,-1,1,-3,2,-3,2,-1,3,-2]", 0),
+        ("5: [-1,3,-1,-2,-3,4,2,1,-2,-4,3,3,-3,4]", 9),
+        ("5: [-3,-1,-1,-4,4,-4,1,4,2,2,3,-4,3,-2]", 6),
+    ])
+    def test_baseline_words(self, word, crossings):
+        d = braid_closure(parse_braid(word))
+        t = self._assert_simplified(d)
+        assert len(t.crossings) == crossings and t.is_knot
+        assert t.free_loops == (() if crossings else t.free_loops[:1])
+
+    def test_only_the_kinked_table_row_simplifies(self):
+        changed = [(d, simplify(d)) for d in _table_knots()]
+        changed = [(len(d.crossings), t.crossings, len(t.free_loops)) for d, t in changed if t is not d]
+        assert changed == [(1, (), 1)]
+
+    def test_kinks_go(self):
+        # PD input with one crossing and two kinks: the unknot as a free loop
+        assert simplify(parse_pd("X[1,1,2,2]").diagram) == Diagram((), (1,))
+        # a negative kink on the trefoil goes; the writhe changes by its sign
+        t = simplify(braid_closure(BraidWord(3, (1, 1, 1, -2))))
+        assert (len(t.crossings), t.writhe) == (3, 3)
+
+    def test_a_clasp_stays(self):
+        # the Hopf link: two bigons, each edge over at one corner and under at the other
+        hopf = parse_pd("X[4,1,3,2] X[2,3,1,4]").diagram
+        assert len(hopf.faces) == 4 and {len(face) for face in hopf.faces} == {2}
+        assert simplify(hopf) is hopf
+
+    def test_an_unlinked_bigon_splits_off_free_loops(self):
+        t = simplify(braid_closure(BraidWord(2, (1, -1))))
+        assert not t.crossings and len(t.free_loops) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=_braid_closures(max_letters=16))
+    def test_braid_closures_and_mirrors(self, d):
+        self._assert_simplified(d)
+        self._assert_simplified(mirror(d))
 
 
 class TestSignPredicates:

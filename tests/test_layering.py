@@ -29,29 +29,31 @@
   ``functools.cache`` or ``lru_cache``, so a repeated call in one process
   starts from nothing.
 * The oracle is reached in two places outside ``lee_oracle``, both in
-  ``checks``: ``knot_s``, which computes s on the reduced braid word and is
-  the only caller of ``reduce_braid``, and ``oracle_report``, the
-  ``oracle`` command's session, which reports the diagram as given and
-  never reduces.  Both take the side the slice is built on from one helper,
-  ``_oracle_side``, the only function that mirrors a diagram for the
-  oracle; ``run_fuzz`` mirrors only to test the bounds, and hands its
-  mirror to ``bound_U`` and ``bound_Delta`` alone.
-  Only these two call ``build_slice`` or ``s_invariant``; ``cmd_oracle``
-  calls ``oracle_report`` and none of the oracle's entries, and ``cli``
-  imports from ``lee_oracle`` only ``DEFAULT_MAX_CROSSINGS`` and
-  ``CrossingLimitError``.
+  ``checks``: ``_drawn_s``, which computes s on the diagram it is handed,
+  and ``oracle_report``, the ``oracle`` command's session, which reports
+  the diagram as given and never simplifies.  Only these two call
+  ``build_slice`` or ``s_invariant``, and both take the side the slice is
+  built on from one helper, ``_oracle_side``, the only function that
+  mirrors a diagram for the oracle; ``run_fuzz`` mirrors only to test the
+  bounds, and hands its mirror to ``bound_U`` and ``bound_Delta`` alone.
+  ``cmd_oracle`` calls ``oracle_report`` and none of the oracle's entries,
+  and ``cli`` imports from ``lee_oracle`` only ``DEFAULT_MAX_CROSSINGS``
+  and ``CrossingLimitError``.
+* ``knot_s`` and ``run_fuzz`` alone call ``simplify`` and ``_drawn_s``:
+  ``knot_s`` hands ``_drawn_s`` the simplified diagram, and ``run_fuzz``
+  hands it the closure as drawn, to check ``knot_s``.
 * Only ``checks`` turns the cyclic garbage collector off or on
   (``gc.disable``, ``gc.enable``), in ``_collector_paused``, and only
-  ``knot_s`` and ``oracle_report`` enter that pause.  Each calls
+  ``_drawn_s`` and ``oracle_report`` enter that pause.  Each calls
   ``build_slice``, ``filtration_profile`` and ``s_invariant`` inside the
   block, so a slice lives and dies with the collector paused.
   ``lee_oracle`` imports no ``gc`` and defines no pause.
 * Which crossing slots an edge fills is tabled in one place:
   ``Diagram._slot_walk`` is the incidence table, and ``_check_structure``
   (behind ``validate``), ``edge_ids``, ``strands``, ``is_connected``,
-  ``is_planar`` (the face count of the PD planarity check),
-  ``is_alternating`` and ``resolution`` read it.  All but ``resolution``
-  build no per-edge dict of their own, and no module names a successor
+  ``faces`` (whose count ``is_planar``, the PD planarity check, reads),
+  ``is_alternating``, ``simplify`` and ``resolution`` read it.  All but
+  ``resolution`` build no per-edge dict of their own, and no module names a successor
   map: the strand cycles are walked over the slot table, in
   ``Diagram.strands`` alone, and the component count, the PD export and the
   PD label-run rule read ``strands``.
@@ -215,8 +217,9 @@ def _callers(name, skip=()):
             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and name in _called_names(node)]
 
 
-def test_only_knot_s_reduces_braid_words():
-    assert _callers("reduce_braid") == ["checks.py:knot_s"]
+def test_only_knot_s_and_run_fuzz_simplify():
+    for name in ("simplify", "_drawn_s"):
+        assert sorted(_callers(name)) == ["checks.py:knot_s", "checks.py:run_fuzz"], name
 
 
 def test_only_build_slice_orders_the_crossings():
@@ -249,11 +252,11 @@ def test_the_oracle_command_never_reduces():
     session = set(_called_names(_functions("checks.py")["oracle_report"]))
     assert "oracle_report" in command
     for called in (command, session):
-        assert not called & {"knot_s", "reduce_braid", "is_reduced"}
+        assert not called & {"knot_s", "_drawn_s", "simplify"}
     assert {"build_slice", "s_invariant"} <= session
     # one side rule: both oracle sessions take their side from one helper,
     # the only function that mirrors a diagram for the oracle
-    assert sorted(_callers("_oracle_side")) == ["checks.py:knot_s", "checks.py:oracle_report"]
+    assert sorted(_callers("_oracle_side")) == ["checks.py:_drawn_s", "checks.py:oracle_report"]
     assert sorted(_callers("mirror")) == ["checks.py:_oracle_side", "checks.py:run_fuzz"]
     # run_fuzz mirrors only for the bounds identity: its mirror goes to
     # bound_U and bound_Delta and nowhere else
@@ -270,7 +273,7 @@ def test_the_oracle_command_never_reduces():
 
 def test_only_knot_s_and_the_oracle_command_run_the_oracle():
     for entry in ("build_slice", "s_invariant"):
-        assert sorted(_callers(entry, skip={"lee_oracle.py"})) == ["checks.py:knot_s", "checks.py:oracle_report"]
+        assert sorted(_callers(entry, skip={"lee_oracle.py"})) == ["checks.py:_drawn_s", "checks.py:oracle_report"]
 
 
 def test_cli_reaches_the_oracle_only_through_checks():
@@ -291,11 +294,13 @@ def _builds_a_dict(node):
 
 def test_the_slot_table_is_the_one_incidence_table():
     functions = {node.name: node for node in ast.walk(_trees()["diagram.py"]) if isinstance(node, ast.FunctionDef)}
-    for reader in ("_check_structure", "edge_ids", "strands", "is_connected", "is_planar", "is_alternating",
-                   "resolution"):
+    readers = ("_check_structure", "edge_ids", "strands", "is_connected", "faces", "is_alternating", "simplify")
+    for reader in (*readers, "resolution"):
         assert "_slot_walk" in _names(functions[reader]), reader
-    for reader in ("_check_structure", "edge_ids", "strands", "is_connected", "is_planar", "is_alternating"):
+    for reader in (*readers, "is_planar"):
         assert not any(map(_builds_a_dict, ast.walk(functions[reader]))), reader
+    # the planarity check counts the cached faces and walks no slots itself
+    assert "faces" in _names(functions["is_planar"]) and "_slot_walk" not in _names(functions["is_planar"])
 
 
 def _imported_but_unread(tree):
@@ -335,7 +340,7 @@ def test_only_the_oracle_pauses_the_collector():
                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "gc"]
     assert togglers == ["checks.py:_collector_paused"]
     assert not from_gc
-    assert sorted(_callers("_collector_paused")) == ["checks.py:knot_s", "checks.py:oracle_report"]
+    assert sorted(_callers("_collector_paused")) == ["checks.py:_drawn_s", "checks.py:oracle_report"]
 
 
 def test_the_oracle_module_has_no_pause():
@@ -350,7 +355,7 @@ def test_the_oracle_entries_run_inside_the_pause():
     entries = ("build_slice", "filtration_profile", "s_invariant")
     functions = {f"{filename}:{node.name}": node for filename, tree in _trees().items()
                  for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for caller in ("checks.py:knot_s", "checks.py:oracle_report"):
+    for caller in ("checks.py:_drawn_s", "checks.py:oracle_report"):
         fn = functions[caller]
         called = sorted(name for name in _called_names(fn) if name in entries)
         inside = sorted(name for node in ast.walk(fn) if isinstance(node, ast.With)

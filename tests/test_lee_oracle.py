@@ -37,6 +37,7 @@ from slicebound import (
     random_braids,
     s_invariant,
     s_window,
+    simplify,
 )
 from slicebound.lee_oracle import (
     _build_matrix,
@@ -1695,8 +1696,8 @@ def _collector_off():
 
 
 class TestCollectorPause:
-    """``knot_s`` and ``oracle_report``, the two oracle sessions of
-    ``checks``, run each slice's whole life with the cyclic collector paused
+    """``_drawn_s`` (behind ``knot_s``) and ``oracle_report``, the two oracle
+    sessions of ``checks``, run each slice's whole life with the cyclic collector paused
     (``checks._collector_paused``), which rests on the slice holding no
     reference cycle, and leave the collector and its thresholds as they
     found them."""
@@ -1749,12 +1750,10 @@ class TestCollectorPause:
                 del s
                 assert gc.collect() == 0
             for w in words:
-                knot_s(braid_closure(w), w, 12)
+                knot_s(braid_closure(w), 12)
                 assert gc.collect() == 0
-            try:
-                knot_s(braid_closure(words[0]), None, 9)
-            except CrossingLimitError:
-                pass
+            with pytest.raises(CrossingLimitError):
+                slicebound.checks._drawn_s(braid_closure(words[0]), 9)
             assert gc.collect() == 0
 
     @staticmethod
@@ -1763,12 +1762,12 @@ class TestCollectorPause:
         refusal and to a ``ConsistencyError`` raised in ``_check_slice``;
         yields after each run."""
         knot_s = slicebound.checks.knot_s
-        assert knot_s(FIG8, None, 12) == 0
+        assert knot_s(FIG8, 12) == 0
         yield
         assert slicebound.cli.main(["oracle", "--braid", "2: [1,1,1]"]) == 0
         yield
         with pytest.raises(CrossingLimitError):
-            knot_s(FIG8, None, 3)
+            knot_s(FIG8, 3)
         yield
         assert slicebound.cli.main(["oracle", "--braid", "2: [1,1,1]", "--max-crossings", "2"]) == 2
         yield
@@ -1778,7 +1777,7 @@ class TestCollectorPause:
 
         monkeypatch.setattr(slicebound.lee_oracle, "_check_slice", failing)
         with pytest.raises(ConsistencyError, match="injected"):
-            knot_s(Diagram(FIG8.crossings), None, 12)
+            knot_s(Diagram(FIG8.crossings), 12)
         yield
         assert slicebound.cli.main(["oracle", "--braid", "2: [1,1,1]"]) == 1
         assert "injected" in capsys.readouterr().err
@@ -1806,23 +1805,28 @@ class TestCollectorPause:
 
 
 class TestMirrorSide:
-    """``knot_s`` builds the slice of the diagram or of its mirror, whichever
-    has fewer negative crossings (the diagram on a tie), and negates ``s``
-    for the mirror, by s(mK) = -s(K).  Cross-checked against the oracle on
-    both sides of every diagram of the corpus."""
+    """``_drawn_s``, the side rule behind ``knot_s``, builds the slice of the
+    diagram as drawn or of its mirror, whichever has fewer negative
+    crossings (the diagram on a tie), and negates ``s`` for the mirror, by
+    s(mK) = -s(K).  Cross-checked against the oracle on both sides of every
+    diagram of the corpus; where ``simplify`` changes the diagram,
+    ``knot_s`` must give the same ``s``."""
 
     @staticmethod
     def _cross_check(diagrams, built, limit=10):
-        """Check every diagram; returns how many ``knot_s`` ran on the mirror."""
+        """Check every diagram; returns how many ``_drawn_s`` ran on the mirror."""
         mirrored = 0
         for d in diagrams:
-            s = slicebound.checks.knot_s(d, None, limit)
+            s = slicebound.checks._drawn_s(d, limit)
             (side,) = [args[0] for args in built]
             built.clear()
             assert side.n_minus <= side.n_plus
             assert (side is d) == (d.n_minus <= d.n_plus)
             mirrored += side is not d
             assert s == s_invariant(build_slice(d, limit)) == -s_invariant(build_slice(mirror(d), limit))
+            if simplify(d) is not d:
+                assert slicebound.checks.knot_s(d, limit) == s
+                built.clear()
         return mirrored
 
     def test_table_rows_and_their_mirrors(self, calls):

@@ -15,7 +15,6 @@ from slicebound import (
     braid_closure,
     braid_text,
     diagram_from_pd,
-    is_reduced,
     mirror,
     parse_braid,
     parse_pd,
@@ -23,7 +22,7 @@ from slicebound import (
     pd_text,
     random_braid,
     random_braids,
-    reduce_braid,
+    simplify,
     validate,
 )
 from slicebound.checks import bundled_table_path
@@ -226,65 +225,77 @@ class TestBraidClosure:
 
 
 class TestReduceBraid:
+    """Braid closures through ``simplify``: every move of the old word
+    reduction (free and cyclic reduction, far commutation, Markov
+    destabilisation) is an R2 bigon or an R1 kink of the closure, so each
+    word shrinks at least as far.  Each case pins (crossings, writhe,
+    components) of the simplified closure; R2 keeps the writhe and R1
+    changes it by the kink's sign."""
+
+    @staticmethod
+    def _simplified(strands, letters):
+        d = braid_closure(BraidWord(strands, letters))
+        t = simplify(d)
+        validate(t)
+        assert t.is_planar and t.components == d.components
+        return len(t.crossings), t.writhe, t.components
+
     def test_free_reduction(self):
-        assert reduce_braid(BraidWord(3, (1, 2, -2, 1, 1))) == BraidWord(3, (1, 1, 1))
+        # the bigon 2, -2 goes and strand 3 closes into a free loop
+        assert self._simplified(3, (1, 2, -2, 1, 1)) == (3, 3, 2)
 
     def test_free_reduction_cascades(self):
-        assert reduce_braid(BraidWord(3, (1, 1, 2, 1, -1, -2, 1))) == BraidWord(3, (1, 1, 1))
+        assert self._simplified(3, (1, 1, 2, 1, -1, -2, 1)) == (3, 3, 2)
 
     def test_cyclic_reduction(self):
-        assert reduce_braid(BraidWord(3, (-2, 1, 1, 1, 2))) == BraidWord(3, (1, 1, 1))
+        assert self._simplified(3, (-2, 1, 1, 1, 2)) == (3, 3, 2)
 
     def test_destabilises_the_last_strand(self):
-        # sigma_2 once: rotate it to the end and drop it with strand 3
-        assert reduce_braid(BraidWord(3, (1, 1, 2, 1))) == BraidWord(2, (1, 1, 1))
-        assert reduce_braid(BraidWord(3, (1, -2, 1, 1))) == BraidWord(2, (1, 1, 1))
+        # sigma_2 once: a kink of the closure
+        assert self._simplified(3, (1, 1, 2, 1)) == (3, 3, 1)
+        assert self._simplified(3, (1, -2, 1, 1)) == (3, 3, 1)
 
     def test_destabilises_the_first_strand(self):
-        # sigma_1 once, sigma_2 three times: drop strand 1, shift the rest down
-        assert reduce_braid(BraidWord(3, (2, 2, -1, 2))) == BraidWord(2, (1, 1, 1))
-        assert reduce_braid(BraidWord(4, (3, 2, 3, 2, 1, 2))) == BraidWord(3, (1, 2, 1, 2, 1))
+        assert self._simplified(3, (2, 2, -1, 2)) == (3, 3, 1)
+        assert self._simplified(4, (3, 2, 3, 2, 1, 2)) == (5, 5, 2)
 
     def test_stabilised_unknot_reduces_to_one_strand(self):
-        assert reduce_braid(BraidWord(4, (1, -2, 3))) == BraidWord(1, ())
-        assert reduce_braid(BraidWord(2, (1,))) == BraidWord(1, ())
+        for strands, letters in ((4, (1, -2, 3)), (2, (1,))):
+            assert self._simplified(strands, letters) == (0, 0, 1)
+            assert len(simplify(braid_closure(BraidWord(strands, letters))).free_loops) == 1
 
     def test_empty_words_are_fixed(self):
         for w in (BraidWord(1, ()), BraidWord(3, ())):
-            assert reduce_braid(w) == w
-            assert is_reduced(w)
+            d = braid_closure(w)
+            assert simplify(d) is d
 
     def test_torus_word_is_unchanged(self):
-        w = BraidWord(2, (1,) * 13)
-        assert reduce_braid(w) == w
-        assert is_reduced(w)
+        d = braid_closure(BraidWord(2, (1,) * 13))
+        assert simplify(d) is d
 
     def test_no_far_commutation(self):
-        # 1 and 3 commute, which would expose 3, -3; the moves leave it alone
-        w = BraidWord(4, (1, 2, 3, 1, -3, 2, 1, 2))
-        assert reduce_braid(w) == w
+        # 1 and 3 commute, which exposes 3, -3: a bigon of the closure that
+        # word moves without far commutation never reached
+        assert self._simplified(4, (1, 2, 3, 1, -3, 2, 1, 2)) == (6, 6, 4)
 
     def test_ends_at_a_fixed_point(self):
         for w, _ in random_braids(200, 5, 12, 42):
-            once = reduce_braid(w)
-            assert reduce_braid(once) == once
-            assert is_reduced(once)
-            assert is_reduced(w) == (once == w)
+            d = braid_closure(w)
+            once = simplify(d)
+            assert simplify(once) is once
+            assert (once is d) == (len(once.crossings) == len(d.crossings))
 
     def test_keeps_connected_knots(self):
         knots = shrunk = 0
         for w, _ in random_braids(300, 5, 12, 42):
             d = braid_closure(w)
-            r = reduce_braid(w)
-            assert isinstance(r, BraidWord) and r.strands <= w.strands and len(r.letters) <= len(w.letters)
-            d2 = braid_closure(r)
-            validate(d2)
+            t = simplify(d)
+            validate(t)
+            assert t.is_planar and t.components == d.components and len(t.crossings) <= len(d.crossings)
             if d.is_knot and d.is_connected:
-                assert d2.is_knot and d2.is_connected
+                assert t.is_knot and t.is_connected
                 knots += 1
-                shrunk += r != w
-            else:
-                assert d2.components == d.components
+                shrunk += t is not d
         assert knots >= 50 and shrunk >= knots // 2
 
 
