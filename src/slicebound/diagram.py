@@ -15,21 +15,21 @@ that edge.  Everything that asks which slots an edge fills reads it:
 ``validate`` (two slots per edge, each edge entered at exactly one),
 ``Diagram.strands``, the one walk of the strand cycles, straight on through
 each crossing from slot 4i+p to 4i+(p^2) (components, PD export and the PD
-label-run rule read it), ``Diagram.is_connected`` (crossings joined along
-edges), ``Diagram.faces`` (walked from slot to slot; ``Diagram.is_planar``,
-the planarity check of PD input, counts them), ``is_alternating`` (every
+label-run rule read it), ``Diagram._pieces`` (crossings joined along
+edges; ``Diagram.is_connected`` and ``Diagram.is_planar`` count them),
+``Diagram.faces`` (walked from slot to slot; ``Diagram.is_planar``, the
+planarity check of PD input, counts them), ``is_alternating`` (every
 edge joins an even, under-strand slot to an odd, over-strand one),
 ``simplify`` (Reidemeister I and II moves, found among the faces) and
 ``Diagram.resolution``, the one routine that smooths the crossings and
 numbers the resulting circles by walking slots: the smoothing of crossing i
 joins slot 4i+p to 4i+(p^1) or 4i+(p^3).  ``UnionFind`` serves
-``Diagram.is_connected``, the piece count of ``Diagram.is_planar``, the
-strands that ``simplify`` joins, the signed-subgraph components of the
-Seifert graph and ``seifert.betti1_components``.  The oriented resolution
-(the Seifert circles) and the signed Seifert graph on it are cached on the
-diagram like its other derived quantities, so every bound reads one
-structure.  Braid words, and ``braid_sign_condition`` with
-them, live in ``notation``.
+``Diagram._pieces``, the strands that ``simplify`` joins, the
+signed-subgraph components of the Seifert graph and
+``seifert.betti1_components``.  The oriented resolution (the Seifert
+circles) and the signed Seifert graph on it are cached on the diagram like
+its other derived quantities, so every bound reads one structure.  Braid
+words, and ``braid_sign_condition`` with them, live in ``notation``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class UnionFind:
         return True
 
     def component_count(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
+        return sum(1 for i in range(len(self.parent)) if self.find(i) == i)
 
 
 @dataclass(frozen=True)
@@ -203,18 +203,22 @@ class Diagram:
         return len(self.strands)
 
     @cached_property
-    def is_connected(self) -> bool:
-        """True when the underlying 4-valent picture is a single piece.
-
-        The union-find elements are the crossings, joined along every edge
-        (slot s lies on crossing s >> 2), and then the free loops, each a
-        piece of its own.
-        """
+    def _pieces(self) -> int:
+        """The number of pieces of the 4-valent picture that hold crossings:
+        the union-find over the crossings joins the two ends of every edge
+        (slot s lies on crossing s >> 2).  Each face keeps to one piece and
+        every edge lies on a face, so the pieces along the faces are these."""
         _, partner, _ = self._slot_walk
-        uf = UnionFind(len(self.crossings) + len(self.free_loops))
+        uf = UnionFind(len(self.crossings))
         for s, t in enumerate(partner):
             uf.union(s >> 2, t >> 2)
-        return uf.component_count() == 1
+        return uf.component_count()
+
+    @cached_property
+    def is_connected(self) -> bool:
+        """True when the underlying 4-valent picture is a single piece: the
+        ``_pieces`` with crossings and the free loops, each a piece of its own."""
+        return self._pieces + len(self.free_loops) == 1
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -242,14 +246,9 @@ class Diagram:
         """True when the crossings' counterclockwise orders embed the diagram
         in the plane: by Euler's formula with E = 2V, when every piece with
         crossings has crossings + 2 ``faces`` (fewer means a surface of higher
-        genus, a virtual diagram).  The union-find over the crossings counts
-        the pieces along the faces, each of which keeps to one piece.
+        genus, a virtual diagram), counted over the ``_pieces``.
         """
-        uf = UnionFind(len(self.crossings))
-        for face in self.faces:
-            for s in face:
-                uf.union(face[0] >> 2, s >> 2)
-        return len(self.faces) == len(self.crossings) + 2 * uf.component_count()
+        return len(self.faces) == len(self.crossings) + 2 * self._pieces
 
     @cached_property
     def oriented_mask(self) -> int:
@@ -265,7 +264,7 @@ class Diagram:
         with slot -1 for a free loop.
 
         Its readers: ``validate``'s structure checks, ``edge_ids``, the
-        strand walk of ``strands``, ``is_connected``, the face walk of
+        strand walk of ``strands``, ``_pieces``, the face walk of
         ``faces``, ``is_alternating``, ``simplify`` and the circle walk of
         ``resolution``.  A walk ends only if ``partner`` is an involution,
         so an edge in a third slot raises here: a mirror image, for one, is

@@ -151,12 +151,15 @@ def diagram_from_pd(code: PdCode) -> Diagram:
     The under-strand of (a,b,c,d) runs a -> c.  The over-strand direction
     between b and d follows the consecutive-label convention: the smaller
     label precedes when they differ by one, otherwise the passage wraps from
-    the component maximum to its minimum.  On 2-edge components both readings
-    are grammatical, so locally ambiguous passages are flipped until every
-    edge is entered exactly once.  For knot codes the reading is unique; for
-    links where one 2-edge component passes over another component twice,
-    the text cannot distinguish which crossing is which and the flip order
-    (crossing index ascending) decides deterministically.
+    the component maximum to its minimum.  Only on a 2-edge component
+    {i, i+1} are both readings grammatical; an under passage fixes its
+    direction, and one that is over at both of its crossings takes the wrap
+    i+1 -> i at the earlier one.  One pass from the last crossing back
+    settles this: ``begun`` holds the edges known to start at a crossing,
+    first every under-strand's c, and a pair differing by one runs upward
+    unless its upper label has begun already.  For knot codes the reading is
+    unique; for links the text cannot tell the two crossings of such a
+    component apart, and the rule decides deterministically.
 
     The structure (each label on two crossings, each edge entered and left
     once) is checked by ``validate``; the PD-specific rules are that every
@@ -164,36 +167,15 @@ def diagram_from_pd(code: PdCode) -> Diagram:
     the code is planar: with the crossings' counterclockwise orders, each
     piece has crossings + 2 faces.
     """
-    unders = [(t[0], t[2]) for t in code.crossings]
-    overs = []
-    flippable = []
-    for i, t in enumerate(code.crossings):
-        b, d = t[1], t[3]
-        if abs(b - d) == 1:
-            overs.append((min(b, d), max(b, d)))
-            flippable.append(i)
-        else:
-            overs.append((max(b, d), min(b, d)))  # wraparound: component max -> min
-
-    for _ in range(len(code.crossings) + 1):
-        entered: dict[int, int] = {}
-        for _, h in unders + overs:
-            entered[h] = entered.get(h, 0) + 1
-        changed = False
-        for i in flippable:
-            tail, head = overs[i]
-            if entered.get(head, 0) > 1 and entered.get(tail, 0) == 0:
-                overs[i] = (head, tail)
-                entered[head] -= 1
-                entered[tail] = entered.get(tail, 0) + 1
-                changed = True
-        if not changed:
-            break
-
-    # the over-strand runs d -> b exactly at a positive crossing
-    diagram = Diagram(tuple(
-        Crossing(t, 1 if overs[i] == (t[3], t[1]) else -1) for i, t in enumerate(code.crossings)
-    ))
+    begun = {t[2] for t in code.crossings}
+    signs = []
+    for t in reversed(code.crossings):
+        lo, hi = sorted(t[1::2])
+        out = hi if hi - lo == 1 and hi not in begun else lo
+        begun.add(out)
+        # the over-strand runs d -> b, out along b, exactly at a positive crossing
+        signs.append(1 if out == t[1] else -1)
+    diagram = Diagram(tuple(map(Crossing, code.crossings, reversed(signs))))
     validate(diagram)
     for strand in diagram.strands:
         if strand != tuple(range(strand[0], strand[0] + len(strand))):

@@ -50,13 +50,16 @@
   ``lee_oracle`` imports no ``gc`` and defines no pause.
 * Which crossing slots an edge fills is tabled in one place:
   ``Diagram._slot_walk`` is the incidence table, and ``_check_structure``
-  (behind ``validate``), ``edge_ids``, ``strands``, ``is_connected``,
-  ``faces`` (whose count ``is_planar``, the PD planarity check, reads),
-  ``is_alternating``, ``simplify`` and ``resolution`` read it.  All but
-  ``resolution`` build no per-edge dict of their own, and no module names a successor
-  map: the strand cycles are walked over the slot table, in
-  ``Diagram.strands`` alone, and the component count, the PD export and the
-  PD label-run rule read ``strands``.
+  (behind ``validate``), ``edge_ids``, ``strands``, ``_pieces`` (whose
+  count ``is_connected`` and ``is_planar`` read), ``faces`` (whose count
+  ``is_planar``, the PD planarity check, reads), ``is_alternating``,
+  ``simplify`` and ``resolution`` read it.  All but ``resolution`` build no
+  per-edge dict of their own, and no module names a successor map: the
+  strand cycles are walked over the slot table, in ``Diagram.strands``
+  alone, and the component count, the PD export and the PD label-run rule
+  read ``strands``.
+* ``diagram_from_pd`` reads the crossing signs of a PD code in one pass
+  over its crossings: it builds no dict and runs no loop inside a loop.
 * No module in the package or its tests imports a name it never reads.
 * No module assigns into an object's ``__dict__``: a cached property is
   filled by computing it, never by writing its cache slot.
@@ -294,13 +297,25 @@ def _builds_a_dict(node):
 
 def test_the_slot_table_is_the_one_incidence_table():
     functions = {node.name: node for node in ast.walk(_trees()["diagram.py"]) if isinstance(node, ast.FunctionDef)}
-    readers = ("_check_structure", "edge_ids", "strands", "is_connected", "faces", "is_alternating", "simplify")
+    readers = ("_check_structure", "edge_ids", "strands", "_pieces", "faces", "is_alternating", "simplify")
     for reader in (*readers, "resolution"):
         assert "_slot_walk" in _names(functions[reader]), reader
-    for reader in (*readers, "is_planar"):
+    for reader in (*readers, "is_connected", "is_planar"):
         assert not any(map(_builds_a_dict, ast.walk(functions[reader]))), reader
-    # the planarity check counts the cached faces and walks no slots itself
-    assert "faces" in _names(functions["is_planar"]) and "_slot_walk" not in _names(functions["is_planar"])
+    # the planarity check counts the cached faces, both checks count the
+    # cached pieces, and neither walks slots itself
+    assert "faces" in _names(functions["is_planar"])
+    for counter in ("is_connected", "is_planar"):
+        assert "_pieces" in _names(functions[counter]) and "_slot_walk" not in _names(functions[counter]), counter
+
+
+def test_pd_signs_take_one_pass():
+    compile_pd = _functions("notation.py")["diagram_from_pd"]
+    loops = [node for node in ast.walk(compile_pd) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    nested = [inner.lineno for outer in loops for inner in ast.walk(outer)
+              if inner is not outer and isinstance(inner, (ast.For, ast.While, ast.comprehension))]
+    assert not any(map(_builds_a_dict, ast.walk(compile_pd)))
+    assert loops and not nested
 
 
 def _imported_but_unread(tree):

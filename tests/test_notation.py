@@ -11,6 +11,7 @@ import slicebound.notation
 from slicebound import (
     BraidWord,
     ParseError,
+    PdCode,
     ValidationError,
     braid_closure,
     braid_text,
@@ -151,6 +152,9 @@ class TestParsePd:
         assert d.components == 2
         assert d.writhe in (-2, 0, 2)
         assert d == diagram_from_pd(parse_pd("X[1,3,2,4] X[2,3,1,4]"))
+        # the earlier crossing takes the wrap 4 -> 3, out along b: positive;
+        # the bounds read the same under either reading, only the signs differ
+        assert [c.sign for c in d.crossings] == [1, -1]
 
     def test_print_round_trip(self):
         code = parse_pd(TREFOIL_PD)
@@ -160,6 +164,64 @@ class TestParsePd:
         d = diagram_from_pd(parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"))
         assert d.writhe == 0
         assert d.n_plus == 2 and d.n_minus == 2
+
+
+def _wrap_moved(code, by):
+    """``code`` with the labels of each component, a run lo..hi, rotated
+    along the run by ``by(length)``, so its wrap hi -> lo falls elsewhere."""
+    label = {}
+    for strand in code.diagram.strands:
+        for k, e in enumerate(strand):
+            label[e] = strand[(k + by(len(strand))) % len(strand)]
+    return PdCode(tuple(tuple(label[e] for e in t) for t in code.crossings))
+
+
+MOVES = (lambda n: 1, lambda n: n // 2)
+
+
+class TestMovedWrap:
+    """PD signs do not depend on where each component's labels wrap."""
+
+    @staticmethod
+    def _closures():
+        closures = [braid_closure(w) for w, _ in random_braids(1000, 5, 16, 7)]
+        return [d for d in closures if not d.free_loops]
+
+    def test_knots_keep_their_signs(self):
+        with open(bundled_table_path(), newline="", encoding="utf-8") as fh:
+            rows = [parse_pd(row["pd"]).diagram for row in csv.DictReader(fh)]
+        knots = [d for d in self._closures() if d.is_knot] + rows
+        assert len(knots) == 285
+        for d in knots:
+            for side in (d, mirror(d)):
+                for by in MOVES:
+                    moved = diagram_from_pd(_wrap_moved(pd_code(side), by))
+                    assert [c.sign for c in moved.crossings] == [c.sign for c in side.crossings]
+
+    def test_links_take_the_documented_choice(self):
+        # on a 2-edge component {i, i+1} that is over at both of its
+        # crossings, the earlier one runs i+1 -> i; the text cannot tell
+        # which way the component runs, so only its two crossings may flip
+        ambiguous = 0
+        for d in self._closures():
+            if d.is_knot:
+                continue
+            for side in (d, mirror(d)):
+                for by in MOVES:
+                    code = _wrap_moved(pd_code(side), by)
+                    moved = diagram_from_pd(code)
+                    flipped = {i for i, (c, e) in enumerate(zip(moved.crossings, side.crossings))
+                               if c.sign != e.sign}
+                    for strand in moved.strands:
+                        over = [i for i, t in enumerate(code.crossings) if sorted(t[1::2]) == list(strand)]
+                        if len(over) == 2:  # strand is (i, i+1), over at both crossings
+                            ambiguous += 1
+                            first, then = (moved.crossings[i] for i in over)
+                            assert (first.over_out, then.over_out) == strand  # out along i, then i+1
+                            assert len(flipped & set(over)) in (0, 2)
+                            flipped -= set(over)
+                    assert not flipped
+        assert ambiguous == 122 * len(MOVES)
 
 
 class TestBraidClosure:
