@@ -177,7 +177,7 @@ def run_table(rows, oracle_limit: Optional[int]):
                 if known_s % 2:
                     raise ValidationError(f"known_s = {known_s} is odd; s is an even integer")
             d = parse_pd((row.get("pd") or "").strip()).diagram
-            if not d.is_knot or not d.is_connected:
+            if not d.is_knot:
                 raise ValidationError(f"table entries must be knots; got {d.components} components")
             report = bounds_report(d)
             lo, hi = report.s_lower, report.s_upper
@@ -291,7 +291,7 @@ def run_fuzz(
         m = mirror(d)
         summary.record("mirror_identity", bound_U(m) + u == 2 * delta and bound_Delta(m) == delta, context)
 
-        parts = betti1_components(aux_graph(d.seifert_graph, d.seifert_circles))
+        parts = betti1_components(aux_graph(d.seifert_graph))
         # the sum alone is 1 - #nodes + #edges for any partition of the nodes;
         # the component count is what the union-find decides
         betti_ok = delta == sum(parts) + 1 - len(parts) and (len(parts) == 1) == connected
@@ -304,7 +304,7 @@ def run_fuzz(
             tightness_ok = False
         summary.record("tightness", tightness_ok, context)
 
-        if connected and d.is_knot:
+        if d.is_knot:
             summary.record("parity", u % 2 == 0, context)
             gk = genus_bound_knot(d)
             summary.record("dominance", gk >= classic_bennequin(d), context)

@@ -66,7 +66,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     payload = report_json_dict(report)
     if args.oracle:
         payload["s_oracle"] = None
-        if d.is_connected and d.is_knot:
+        if d.is_knot:
             try:
                 payload["s_oracle"] = knot_s(d, args.max_crossings)
             except CrossingLimitError as exc:

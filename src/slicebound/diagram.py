@@ -25,11 +25,12 @@ edge joins an even, under-strand slot to an odd, over-strand one),
 numbers the resulting circles by walking slots: the smoothing of crossing i
 joins slot 4i+p to 4i+(p^1) or 4i+(p^3).  ``UnionFind`` serves
 ``Diagram._pieces``, the strands that ``simplify`` joins, the
-signed-subgraph components of the Seifert graph and
-``seifert.betti1_components``.  The oriented resolution (the Seifert
-circles) and the signed Seifert graph on it are cached on the diagram like
-its other derived quantities, so every bound reads one structure.  Braid
-words, and ``braid_sign_condition`` with them, live in ``notation``.
+signed-subgraph components of the Seifert graph,
+``seifert.betti1_components`` and ``seifert.two_coloring``.  The oriented
+resolution (the Seifert circles) and the signed Seifert graph on it are
+cached on the diagram like its other derived quantities, so every bound
+reads one structure.  Braid words, and ``braid_sign_condition`` with
+them, live in ``notation``.
 """
 
 from __future__ import annotations
@@ -345,6 +346,9 @@ class Diagram:
 
     @property
     def is_knot(self) -> bool:
+        """One component; a valid diagram with one component is connected:
+        its one strand passes every crossing, and a lone free loop is one
+        piece."""
         return self.components == 1
 
 

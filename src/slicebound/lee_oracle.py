@@ -313,7 +313,7 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
     resolutions while they stream.
     """
     validate(d)
-    if not d.is_connected or not d.is_knot:
+    if not d.is_knot:
         raise ValueError("Lee complex slice needs a connected knot diagram")
     n = len(d.crossings)
     if n > max_crossings:
@@ -698,16 +698,10 @@ def _column_echelon(columns: Iterable[Column]) -> dict[int, Mapping[int, int]]:
 def _row_order(q: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """(pos, order) of generators by ascending grading, ties by descending index.
 
-    ``order`` lists generators by row and ``pos`` is its inverse.  Indices
-    are bucketed by grading in ascending order, and each bucket is read in
-    reverse.
+    ``order`` lists generators by row and ``pos`` is its inverse: one stable
+    sort by grading of the indices in descending order.
     """
-    buckets: dict[int, list[int]] = {g: [] for g in sorted(set(q))}
-    for i, g in enumerate(q):
-        buckets[g].append(i)
-    order: list[int] = []
-    for bucket in buckets.values():
-        order += reversed(bucket)
+    order = sorted(range(len(q) - 1, -1, -1), key=q.__getitem__)
     pos = [0] * len(q)
     for p, i in enumerate(order):
         pos[i] = p

@@ -7,12 +7,13 @@ whose component counts drive the bounds.  Circles, graph and the component
 ids of both signed subgraphs are found once per diagram, in ``diagram``
 (``Diagram.seifert_circles``, ``Diagram.seifert_graph``), whose
 ``UnionFind``, ``SeifertCircles`` and ``SeifertGraph`` are re-exported here.
-The circles come from ``Diagram.resolution``'s walk over crossing slots;
-``UnionFind`` finds the signed-subgraph components and, in
-``betti1_components``, the components of the auxiliary graph.
-The auxiliary graph joins each circle's negative-subgraph component to its
-positive-subgraph component; its first Betti number equals the error width
-of the bound.
+The circles come from ``Diagram.resolution``'s walk over crossing slots.
+Every question about the graph is answered from the graph alone, and every
+search is the one ``UnionFind``: it finds the signed-subgraph components, the
+components of the auxiliary graph (``betti1_components``) and the classes
+of ``two_coloring``.  The auxiliary graph joins each circle's
+negative-subgraph component to its positive-subgraph component; its first
+Betti number equals the error width of the bound.
 """
 
 from __future__ import annotations
@@ -57,14 +58,12 @@ def component_count(g: SeifertGraph, keep_sign: int) -> int:
     return len(set(g.plus_component_ids if keep_sign > 0 else g.minus_component_ids))
 
 
-def aux_graph(g: SeifertGraph, circles: SeifertCircles) -> AuxGraph:
+def aux_graph(g: SeifertGraph) -> AuxGraph:
     """Join each circle's negative-subgraph component to its positive one.
 
     Nodes: components of the minus-subgraph followed by components of the
-    plus-subgraph; one edge per Seifert circle.
+    plus-subgraph; one edge per Seifert circle, read off the graph alone.
     """
-    if circles.count != g.node_count:
-        raise ValueError("circles and graph come from different diagrams")
     minus, plus = g.minus_component_ids, g.plus_component_ids
     n_minus = max(minus) + 1
     n_plus = max(plus) + 1
@@ -104,28 +103,24 @@ def two_coloring(g: SeifertGraph) -> list[int]:
     """2-color the Seifert graph (adjacent circles get opposite classes).
 
     The graph is bipartite for every genuine planar diagram; the coloring
-    picks out the canonical generator labels for the Lee complex.  Isolated
-    or per-component choices are normalized so the circle with the smallest
-    id in each piece gets class 0.
+    picks out the canonical generator labels for the Lee complex.  A
+    union-find over 2n nodes, where node n + v stands for the class opposite
+    to v's, joins each edge's ends to each other's opposites; an odd cycle
+    puts a node and its opposite in one class.  Walking the nodes in order,
+    the first node met in each piece (its smallest id) gets class 0.
     """
-    adj: dict[int, list[int]] = {i: [] for i in range(g.node_count)}
+    n = g.node_count
+    uf = UnionFind(2 * n)
     for u, v, _, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    color = [-1] * g.node_count
-    for start in range(g.node_count):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for other in adj[node]:
-                if color[other] == -1:
-                    color[other] = 1 - color[node]
-                    stack.append(other)
-                elif color[other] == color[node]:
-                    raise ConsistencyError(
-                        "Seifert graph is not bipartite; diagram data is not planar"
-                    )
+        uf.union(u, n + v)
+        uf.union(n + u, v)
+    zero: set[int] = set()  # roots of the classes colored 0 so far
+    color = []
+    for v in range(n):
+        root, opposite = uf.find(v), uf.find(n + v)
+        if root == opposite:
+            raise ConsistencyError("Seifert graph is not bipartite; diagram data is not planar")
+        if opposite not in zero:
+            zero.add(root)
+        color.append(int(opposite in zero))
     return color

@@ -25,7 +25,6 @@ from slicebound import (
     genus_bound_link,
     is_alternating,
     mirror,
-    oriented_resolution,
     parse_braid,
     parse_pd,
     profile_jumps,
@@ -115,7 +114,7 @@ def test_criterion_5_betti_number_proposition():
     connected = split = 0
     for word, d in CORPUS:
         g = seifert_graph(d)
-        G = aux_graph(g, oriented_resolution(d))
+        G = aux_graph(g)
         if d.is_connected:
             assert bound_Delta(d) == betti1(G), word
             connected += 1

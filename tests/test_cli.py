@@ -16,7 +16,7 @@ import slicebound.seifert
 from slicebound import BraidWord, CrossingLimitError, SeifertGraph, braid_closure, build_slice, parse_braid
 from slicebound import parse_pd, pd_code, pd_text, random_braids, s_invariant, simplify
 from slicebound.checks import knot_s
-from slicebound.cli import bundled_table_path, main, run_fuzz, run_table
+from slicebound.cli import _csv_cell, bundled_table_path, main, run_fuzz, run_table
 
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
@@ -208,6 +208,14 @@ class TestTableCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 36
         assert all(r["status"] in ("TIGHT", "SANDWICH_OK") for r in rows)
+
+    def test_json_rows_are_the_csv_rows(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--oracle", "--json")
+        assert (code, err) == (0, "")
+        from_json = [{k: _csv_cell(v) for k, v in row.items()} for row in json.loads(out)]
+        _, out, _ = run_cli(capsys, "table", "--oracle")
+        assert from_json == list(csv.DictReader(io.StringIO(out)))
+        assert len(from_json) == 36
 
     def test_error_rows(self, tmp_path, capsys):
         table = tmp_path / "t.csv"

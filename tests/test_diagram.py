@@ -28,6 +28,7 @@ from slicebound import (
     parse_pd,
     pd_code,
     random_braid,
+    random_braids,
     simplify,
     validate,
 )
@@ -157,6 +158,23 @@ class TestStrands:
             for side in (d, mirror(d)):
                 self._assert_strands(side)
                 assert side.strands == (tuple(range(1, len(d.edge_ids) + 1)),)  # a PD knot is one label run
+
+    def test_a_knot_is_connected(self):
+        # one strand passes every crossing, and a lone free loop is one piece,
+        # so the callers test is_knot alone
+        seen = 0
+        for seed in (3, 7, 42):
+            for w, _ in random_braids(1500, 5, 12, seed):
+                d = braid_closure(w)
+                for side in (d, mirror(d)):
+                    t = simplify(side)
+                    shapes = [side, t] if t.free_loops else [side, t, diagram_from_pd(pd_code(t))]
+                    for x in shapes:
+                        assert x.is_connected or not x.is_knot, w
+                        seen += x.is_knot
+        for d in _table_knots():
+            assert d.is_knot and d.is_connected and mirror(d).is_connected
+        assert seen > 1000 and braid_closure(BraidWord(1, ())).is_connected
 
     def test_free_loops_are_one_edge_strands(self):
         d = braid_closure(BraidWord(4, (1, -1)))

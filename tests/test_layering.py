@@ -60,6 +60,8 @@
   read ``strands``.
 * ``diagram_from_pd`` reads the crossing signs of a PD code in one pass
   over its crossings: it builds no dict and runs no loop inside a loop.
+* ``seifert.two_coloring`` searches the Seifert graph with the one
+  ``UnionFind``: it builds no adjacency dict of its own.
 * No module in the package or its tests imports a name it never reads.
 * No module assigns into an object's ``__dict__``: a cached property is
   filled by computing it, never by writing its cache slot.
@@ -316,6 +318,12 @@ def test_pd_signs_take_one_pass():
               if inner is not outer and isinstance(inner, (ast.For, ast.While, ast.comprehension))]
     assert not any(map(_builds_a_dict, ast.walk(compile_pd)))
     assert loops and not nested
+
+
+def test_the_coloring_searches_with_the_union_find():
+    coloring = _functions("seifert.py")["two_coloring"]
+    assert not any(map(_builds_a_dict, ast.walk(coloring)))
+    assert "UnionFind" in _names(coloring)
 
 
 def _imported_but_unread(tree):

@@ -424,6 +424,18 @@ class TestComposesToZero:
 # --- pivot order and clearing against the ascending-tie, uncleared oracle --
 
 
+def _bucket_row_order(q):
+    """``_row_order`` by buckets: indices bucketed by grading in ascending
+    order, each bucket read in reverse."""
+    buckets = {g: [] for g in sorted(set(q))}
+    for i, g in enumerate(q):
+        buckets[g].append(i)
+    order = []
+    for bucket in buckets.values():
+        order += reversed(bucket)
+    return _inverse(order), order
+
+
 def _inverse(pos):
     """The (vertex, label) index of each row, given the row of each index."""
     index = [0] * len(pos)
@@ -1277,7 +1289,27 @@ class TestRowNumbering:
     @given(q=st.lists(st.integers(-12, 12), max_size=200).map(tuple))
     def test_row_order_matches_the_keyed_sort(self, q):
         order = sorted(range(len(q)), key=lambda i: (q[i], -i))
-        assert _row_order(q) == (_inverse(order), order)
+        assert _row_order(q) == (_inverse(order), order) == _bucket_row_order(q)
+
+    def test_row_order_matches_the_buckets_on_the_corpus(self, monkeypatch, capsys):
+        # every gradings list of a table --oracle round, an oracle-mid round
+        # and the slice of Baseline 12a
+        seen = []
+
+        def recording(q):
+            seen.append(q)
+            return _row_order(q)
+
+        monkeypatch.setattr(slicebound.lee_oracle, "_row_order", recording)
+        assert slicebound.cli.main(["table", "--oracle"]) == 0
+        for word in ORACLE_MID_WORDS:
+            assert slicebound.cli.main(["bound", "--braid", word, "--oracle"]) == 0
+            assert slicebound.cli.main(["oracle", "--braid", word]) == 0
+        build_slice(braid_closure(parse_braid(BASELINE_12A)), 12)
+        capsys.readouterr()
+        assert len(seen) > 74 and max(map(len, seen)) > 10000
+        for q in seen:
+            assert _row_order(q) == _bucket_row_order(q)
 
     def test_c_minus_one_is_not_permuted(self):
         s = build_slice(FIG8)

@@ -1,6 +1,7 @@
 """Seifert circles, the signed graph, subgraph components, auxiliary graph."""
 
 import csv
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from slicebound import (
     oriented_resolution,
     parse_pd,
     random_braid,
+    random_braids,
     seifert_graph,
     two_coloring,
 )
@@ -69,6 +71,45 @@ def _seifert_reference(d):
 def _table_diagrams():
     with open(bundled_table_path(), newline="", encoding="utf-8") as fh:
         return [(row["name"], diagram_from_pd(parse_pd(row["pd"]))) for row in csv.DictReader(fh)]
+
+
+NOT_BIPARTITE = "Seifert graph is not bipartite; diagram data is not planar"
+
+
+def _dfs_coloring(g):
+    """``two_coloring`` by depth-first search over an adjacency dict: the
+    smallest node of each piece gets class 0, its neighbours the other."""
+    adj = {i: [] for i in range(g.node_count)}
+    for u, v, _, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    color = [-1] * g.node_count
+    for start in range(g.node_count):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for other in adj[node]:
+                if color[other] == -1:
+                    color[other] = 1 - color[node]
+                    stack.append(other)
+                elif color[other] == color[node]:
+                    raise ConsistencyError(NOT_BIPARTITE)
+    return color
+
+
+def _multigraph(n, pairs):
+    """A signed graph on ``n`` nodes with one edge per pair, loops allowed."""
+    return SeifertGraph(n, tuple((u, v, 1 if i % 2 else -1, i) for i, (u, v) in enumerate(pairs)))
+
+
+def _outcome(coloring, g):
+    try:
+        return "colors", coloring(g)
+    except ConsistencyError as exc:
+        return "error", str(exc)
 
 
 @st.composite
@@ -175,21 +216,21 @@ class TestComponentCount:
 class TestAuxGraph:
     def test_positive_trefoil_tree(self):
         g = seifert_graph(TREFOIL)
-        G = aux_graph(g, oriented_resolution(TREFOIL))
+        G = aux_graph(g)
         assert G.node_count == 3
         assert len(G.edges) == 2
         assert betti1(G) == 0
 
     def test_mixed_has_cycle(self):
         g = seifert_graph(MIXED)
-        G = aux_graph(g, oriented_resolution(MIXED))
+        G = aux_graph(g)
         assert G.node_count == 2
         assert len(G.edges) == 2
         assert betti1(G) == 1
 
     def test_zero_crossing_unknot(self):
         g = seifert_graph(UNKNOT0)
-        G = aux_graph(g, oriented_resolution(UNKNOT0))
+        G = aux_graph(g)
         assert G.node_count == 2
         assert len(G.edges) == 1
         assert betti1(G) == 0
@@ -197,13 +238,13 @@ class TestAuxGraph:
     def test_edge_count_is_circle_count(self):
         for seed in range(15):
             d = braid_closure(random_braid(3, 7, seed))
-            G = aux_graph(seifert_graph(d), oriented_resolution(d))
+            G = aux_graph(seifert_graph(d))
             assert len(G.edges) == oriented_resolution(d).count
 
     def test_betti_matches_delta_connected(self):
         for seed in range(40):
             d = braid_closure(random_braid(4, 9, seed))
-            G = aux_graph(seifert_graph(d), oriented_resolution(d))
+            G = aux_graph(seifert_graph(d))
             if d.is_connected:
                 assert betti1(G) == bound_Delta(d)
             else:
@@ -214,13 +255,15 @@ class TestAuxGraph:
 
     def test_split_reports_per_component(self):
         d = braid_closure(BraidWord(2, ()))  # 2-component unlink
-        G = aux_graph(seifert_graph(d), oriented_resolution(d))
+        G = aux_graph(seifert_graph(d))
         assert betti1_components(G) == [0, 0]
 
-    def test_circles_of_another_diagram_are_refused(self):
-        # the trefoil closure has 2 Seifert circles, the figure-eight 3
-        with pytest.raises(ValueError, match="^circles and graph come from different diagrams$"):
-            aux_graph(TREFOIL.seifert_graph, FIG8.seifert_circles)
+    def test_reads_the_graph_alone(self):
+        for d in (TREFOIL, MIXED, FIG8):
+            g = seifert_graph(d)
+            G = aux_graph(g)
+            assert len(G.edges) == g.node_count == oriented_resolution(d).count
+            assert G.node_count == component_count(g, -1) + component_count(g, +1)
 
 
 class TestTwoColoring:
@@ -241,5 +284,36 @@ class TestTwoColoring:
     def test_an_odd_cycle_is_inconsistent(self):
         # the Seifert graph of a planar diagram is bipartite; a triangle is not
         triangle = SeifertGraph(3, ((0, 1, 1, 0), (1, 2, 1, 1), (0, 2, 1, 2)))
-        with pytest.raises(ConsistencyError, match="^Seifert graph is not bipartite; diagram data is not planar$"):
+        with pytest.raises(ConsistencyError, match=f"^{NOT_BIPARTITE}$"):
             two_coloring(triangle)
+        assert _outcome(_dfs_coloring, triangle) == ("error", NOT_BIPARTITE)
+
+    def test_equals_the_search_on_braid_closures(self):
+        for seed in (3, 7, 42):
+            for w, _ in random_braids(2000, 5, 12, seed):
+                d = braid_closure(w)
+                for g in (d.seifert_graph, mirror(d).seifert_graph):
+                    assert two_coloring(g) == _dfs_coloring(g), (seed, w)
+
+    def test_equals_the_search_on_table(self):
+        for name, d in _table_diagrams():
+            for g in (d.seifert_graph, mirror(d).seifert_graph):
+                assert two_coloring(g) == _dfs_coloring(g), name
+
+    def test_equals_the_search_on_random_multigraphs(self):
+        rng = random.Random(0)
+        refused = 0
+        for _ in range(20000):
+            n = rng.randint(1, 8)
+            g = _multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))])
+            outcome = _outcome(two_coloring, g)
+            assert outcome == _outcome(_dfs_coloring, g), g
+            refused += outcome[0] == "error"
+        assert 0 < refused < 20000  # both outcomes are exercised
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10))
+    def test_equals_the_search_on_any_multigraph(self, data, n):
+        node = st.integers(0, n - 1)
+        g = _multigraph(n, data.draw(st.lists(st.tuples(node, node), max_size=14)))
+        assert _outcome(two_coloring, g) == _outcome(_dfs_coloring, g)
