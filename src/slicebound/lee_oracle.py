@@ -375,13 +375,12 @@ def build_slice(d: Diagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LeeCo
 
 def _vertices(perm: Sequence[int], weight: int) -> tuple[int, ...]:
     """The masks of ``weight`` crossings, ascending with crossing ``perm[k]``
-    worth 2^k: combinations of the positions n-1, ..., 0 come in descending
-    weight, so their reverse ascends."""
+    worth 2^k: combinations of the bits of positions n-1, ..., 0 come in
+    descending weight, so their reverse ascends."""
     if weight < 0:
         return ()
     bit = [1 << i for i in perm]
-    positions = range(len(bit) - 1, -1, -1)
-    return tuple(sum(bit[k] for k in combo) for combo in reversed(list(combinations(positions, weight))))
+    return tuple(reversed(list(map(sum, combinations(bit[::-1], weight)))))
 
 
 def _crossing_order(d: Diagram, given: dict[int, SeifertCircles]) -> list[int]:

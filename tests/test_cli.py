@@ -131,6 +131,21 @@ class TestBoundCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["s_oracle"] == 2
 
+    @pytest.mark.parametrize("source", [("--pd", FIG8_PD), ("--braid", "4: [-3,-1,1,-3,-2,2,-2,-2,1,3,-2,3,2]")])
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+    def test_json_flag_is_the_default_output(self, capsys, source, oracle):
+        # the figure-eight and the 13a word, which simplifies to 8 crossings
+        default = run_cli(capsys, "bound", *source, *oracle)
+        assert default[0] == 0 and json.loads(default[1])
+        assert run_cli(capsys, "bound", *source, *oracle, "--json") == default
+
+    def test_json_and_csv_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["bound", "--pd", FIG8_PD, "--json", "--csv"])
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (2, "")
+        assert "not allowed with argument" in err
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "bound", "--braid", "3: [1,-2,1,-2]", "--oracle")
         _, out2, _ = run_cli(capsys, "bound", "--braid", "3: [1,-2,1,-2]", "--oracle")

@@ -47,7 +47,10 @@
   ``_drawn_s`` and ``oracle_report`` enter that pause.  Each calls
   ``build_slice``, ``filtration_profile`` and ``s_invariant`` inside the
   block, so a slice lives and dies with the collector paused.
-  ``lee_oracle`` imports no ``gc`` and defines no pause.
+  ``lee_oracle`` imports no ``gc`` and defines no pause.  ``gc.collect``
+  is called only by ``_collector_paused``: on every
+  ``_FULL_COLLECTION_PERIOD``-th block that found the collector on and
+  ended normally, one full collection, after ``gc.enable``.
 * Which crossing slots an edge fills is tabled in one place:
   ``Diagram._slot_walk`` is the incidence table, and ``_check_structure``
   (behind ``validate``), ``edge_ids``, ``strands``, ``_pieces`` (whose
@@ -364,6 +367,18 @@ def test_only_the_oracle_pauses_the_collector():
     assert togglers == ["checks.py:_collector_paused"]
     assert not from_gc
     assert sorted(_callers("_collector_paused")) == ["checks.py:_drawn_s", "checks.py:oracle_report"]
+
+
+def test_only_the_pause_runs_a_full_collection():
+    def collects(node):
+        return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "gc" \
+            and node.attr == "collect"
+
+    reads = [filename for filename, tree in _trees().items() for node in ast.walk(tree) if collects(node)]
+    callers = [f"{filename}:{node.name}" for filename, tree in _trees().items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and any(collects(sub) for sub in ast.walk(node))]
+    assert reads == ["checks.py"]
+    assert callers == ["checks.py:_collector_paused"]
 
 
 def test_the_oracle_module_has_no_pause():

@@ -5,11 +5,13 @@ import dataclasses
 import functools
 import gc
 import random
+import sys
+import threading
 import weakref
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import comb, gcd
 
 import pytest
@@ -48,6 +50,7 @@ from slicebound.lee_oracle import (
     _reduce_against,
     _row_order,
     _strip,
+    _vertices,
 )
 
 TREFOIL = braid_closure(BraidWord(2, (1, 1, 1)))
@@ -723,6 +726,16 @@ def _order(d):
     return _crossing_order(d, {m: d.resolution(m) for m in range(1 << n) if m.bit_count() == d.n_minus - 1})
 
 
+def _reference_vertices(perm, weight):
+    """``_vertices`` as a generator of per-combination sums over the
+    positions n-1, ..., 0."""
+    if weight < 0:
+        return ()
+    bit = [1 << i for i in perm]
+    positions = range(len(bit) - 1, -1, -1)
+    return tuple(sum(bit[k] for k in combo) for combo in reversed(list(combinations(positions, weight))))
+
+
 def _weighted(mask, order):
     """``mask`` read with crossing ``order[k]`` worth 2^k."""
     return sum(1 << k for k, i in enumerate(order) if mask >> i & 1)
@@ -886,6 +899,18 @@ class TestCrossingOrder:
         assert _crossing_order(d, {0: d.resolution(0)}) == [0]
         s = build_slice(d)
         assert s.diagram is d and s_invariant(s) == 0
+
+    def test_vertices_match_the_generator_reference(self):
+        # the side the oracle builds, in its crossing order, at every weight
+        diagrams = _table_knots() + [braid_closure(parse_braid(w)) for w in ORACLE_MID_WORDS + (BASELINE_12A,)]
+        assert len(diagrams) == 42
+        for d in diagrams:
+            side, _ = slicebound.checks._oracle_side(d)
+            order = _order(side)
+            for weight in range(-1, len(order) + 1):
+                masks = _vertices(order, weight)
+                assert masks == _reference_vertices(order, weight), (d, weight)
+                assert list(masks) == sorted(masks, key=lambda m: _weighted(m, order))
 
 
 # --- table-driven cube construction against the accumulate-style builder ---
@@ -1727,47 +1752,141 @@ def _collector_off():
         gc.enable()
 
 
+@contextmanager
+def _watched_collections(monkeypatch):
+    """Record each collection that starts in the block, as (generation,
+    whether a slice lives).  A slice lives from the call of ``build_slice``
+    until its last reference goes; a collection that starts in that span
+    walks it.  Yields ``(started, slices)``, ``slices`` holding a weak
+    reference to each slice built."""
+    build = slicebound.lee_oracle.build_slice
+    building = []
+    slices = []
+
+    def tracked(*args, **kwargs):
+        building.append(True)
+        try:
+            s = build(*args, **kwargs)
+        finally:
+            building.pop()
+        slices.append(weakref.ref(s))
+        return s
+
+    for module in (slicebound.lee_oracle, slicebound.checks, slicebound.cli):
+        if getattr(module, "build_slice", None) is build:
+            monkeypatch.setattr(module, "build_slice", tracked)
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append((info["generation"], bool(building) or any(ref() is not None for ref in slices)))
+
+    gc.callbacks.append(record)
+    try:
+        yield started, slices
+    finally:
+        gc.callbacks.remove(record)
+
+
 class TestCollectorPause:
     """``_drawn_s`` (behind ``knot_s``) and ``oracle_report``, the two oracle
     sessions of ``checks``, run each slice's whole life with the cyclic collector paused
     (``checks._collector_paused``), which rests on the slice holding no
     reference cycle, and leave the collector and its thresholds as they
-    found them."""
+    found them.  Every ``_FULL_COLLECTION_PERIOD``-th block that found the
+    collector on and ends normally runs one full collection, after its
+    slice is released; each test sets the count of such blocks first."""
 
-    @pytest.mark.parametrize("argv", [["oracle", "--braid", "3: [-1,-2,2,-2,-1,1,-1,-1,1,2]"],
-                                      ["table", "--oracle"]])
+    @staticmethod
+    def _set_count(monkeypatch, short_of_period):
+        """Set the count of blocks so that the ``short_of_period``-th next
+        one runs the full collection; returns the period."""
+        period = slicebound.checks._FULL_COLLECTION_PERIOD
+        monkeypatch.setattr(slicebound.checks, "_paused_exits", period - short_of_period)
+        return period
+
+    @pytest.mark.parametrize("argv", [["oracle", "--braid", ORACLE_MID_WORDS[0]],
+                                      ["table", "--oracle"],
+                                      ["bound", "--braid", ORACLE_MID_WORDS[4], "--oracle"],
+                                      ["fuzz", "--count", "80", "--seed", "7", "--oracle", "--max-crossings", "9"]])
     def test_no_collection_runs_while_a_slice_lives(self, argv, monkeypatch, capsys):
-        # a slice lives from the call of build_slice until its last
-        # reference goes; a collection that starts in that span walks it
-        build = slicebound.lee_oracle.build_slice
-        building = []
-        slices = []
-
-        def tracked(*args, **kwargs):
-            building.append(True)
-            try:
-                s = build(*args, **kwargs)
-            finally:
-                building.pop()
-            slices.append(weakref.ref(s))
-            return s
-
-        for module in (slicebound.lee_oracle, slicebound.checks, slicebound.cli):
-            if getattr(module, "build_slice", None) is build:
-                monkeypatch.setattr(module, "build_slice", tracked)
-        started = []
-
-        def record(phase, info):
-            if phase == "start" and (building or any(ref() is not None for ref in slices)):
-                started.append(info["generation"])
-
-        gc.callbacks.append(record)
-        try:
+        # the first block to end runs the scheduled full collection
+        self._set_count(monkeypatch, 1)
+        with _watched_collections(monkeypatch) as (started, slices):
             code = slicebound.cli.main(argv)
-        finally:
-            gc.callbacks.remove(record)
-        assert code == 0, capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert code == 0, err
         assert slices and all(ref() is None for ref in slices)
+        assert (2, False) in started
+        assert not [generation for generation, alive in started if alive]
+        if argv[0] == "fuzz":  # run_fuzz also calls _drawn_s on the closure as drawn
+            assert "reduced_s: " in out
+
+    def test_one_full_collection_when_the_count_comes_round(self, monkeypatch, capsys):
+        gc.collect()  # no young generation close to its own full collection
+        self._set_count(monkeypatch, 1)
+        with _watched_collections(monkeypatch) as (started, slices):
+            code = slicebound.cli.main(["oracle", "--braid", ORACLE_MID_WORDS[0]])
+        assert code == 0, capsys.readouterr().err
+        assert len(slices) == 1
+        assert [entry for entry in started if entry[0] == 2] == [(2, False)]
+        assert not [generation for generation, alive in started if alive]
+        assert slicebound.checks._paused_exits == 0
+
+    def test_a_full_collection_every_period(self, monkeypatch):
+        assert slicebound.checks._FULL_COLLECTION_PERIOD == 100
+        gc.collect()
+        period = self._set_count(monkeypatch, slicebound.checks._FULL_COLLECTION_PERIOD)
+        full = []
+        with _watched_collections(monkeypatch) as (started, slices):
+            for call in range(1, 2 * period + 1):
+                assert slicebound.checks._drawn_s(TREFOIL, 12) == 2
+                full += [call] * sum(generation == 2 for generation, _ in started)
+                started.clear()
+        assert full == [period, 2 * period]
+        assert len(slices) == 2 * period
+
+    def test_a_block_that_raises_is_not_counted(self, monkeypatch):
+        period = self._set_count(monkeypatch, 1)
+        with _watched_collections(monkeypatch) as (started, _):
+            with pytest.raises(CrossingLimitError):
+                slicebound.checks._drawn_s(FIG8, 3)
+        assert slicebound.checks._paused_exits == period - 1
+        assert not [generation for generation, _ in started if generation == 2]
+
+    def test_threads_share_the_schedule(self, monkeypatch):
+        # a lost update of the count only shifts the schedule: every thread
+        # gets its s, the collector ends on and the count stays in range
+        period = self._set_count(monkeypatch, slicebound.checks._FULL_COLLECTION_PERIOD)
+        results = []
+
+        def work():
+            results.extend(slicebound.checks._drawn_s(TREFOIL, 12) for _ in range(40))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [2] * 160
+        assert gc.isenabled()
+        assert 0 <= slicebound.checks._paused_exits < period
+
+    def test_a_collector_the_caller_turned_off_is_neither_counted_nor_collected(self, monkeypatch, capsys):
+        period = self._set_count(monkeypatch, 1)
+        with _collector_off(), _watched_collections(monkeypatch) as (started, slices):
+            assert slicebound.cli.main(["oracle", "--braid", ORACLE_MID_WORDS[0]]) == 0
+            assert slicebound.checks.knot_s(FIG8, 12) == 0
+            assert not gc.isenabled()
+        capsys.readouterr()
+        assert len(slices) == 2
+        assert slicebound.checks._paused_exits == period - 1
         assert started == []
 
     def test_the_oracle_paths_leave_no_cyclic_garbage(self):
